@@ -577,6 +577,11 @@ def _cmd_dsmc(args, argv) -> int:
                           line=_key_line(raw, "species"))
     seed = args.seed if args.seed is not None \
         else _get(cfg, "seed", raw, "config", kind="int")
+    # the sampling generator below is keyed by the 64-bit words [seed, 1]
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(
+            f"seed {seed} is outside [0, 2**64)",
+            line=None if args.seed is not None else _key_line(raw, "seed"))
 
     defaults = [("buffer", 1, -1), ("target", 2, 2)]
     rng = np.random.Generator(np.random.Philox(key=[seed, 1]))

@@ -3,25 +3,30 @@
 Test particles move on the exact flow of the harmonic-plus-gravity
 potential (a rotation in each axis' phase plane about the sagged
 equilibrium, which is symplectic and conserves energy to round-off, so
-the free flight places no accuracy limit on dt).  Collisions use a
-majorant-frequency (no-time-counter) scheme on a uniform virtual cell
-grid: in every cell and for every species pair a number of candidate
-pairs proportional to sigma * v_max * dt is drawn, each accepted with
-probability |v_rel| / v_max, and accepted pairs scatter isotropically in
-their centre-of-mass frame, conserving momentum exactly and kinetic
-energy to round-off.
+the free flight places no accuracy limit on dt).  Each species is held as
+(3, n) position and velocity arrays that the flight rotates in place.
+Collisions use a majorant-frequency (no-time-counter) scheme on uniform
+cubic cells: in every cell and for every species pair a number of
+candidate pairs proportional to sigma * v_max * dt is drawn, each
+accepted with probability |v_rel| / v_max, and accepted pairs scatter
+isotropically in their centre-of-mass frame, conserving momentum exactly
+and kinetic energy to round-off.
 
 Because the velocity distribution of a harmonic-trap equilibrium is the
 same everywhere in the cloud, a single adaptive majorant per species pair
-is as sharp as a per-cell one; cells are addressed through sorted integer
-keys, so no dense grid arrays are ever allocated.  All randomness flows
-from one counter-based Philox generator, making runs reproducible
-bit-for-bit for a given (config, seed).
-"""
+is as sharp as a per-cell one.  Cells are addressed by compact integer
+keys over the clouds' bounding box, so no grid is allocated and no
+particle is ever clipped into another cell; the particle index packed
+into each key's low bits makes the keys unique, so one plain sort per
+species and step groups the particles by cell in an order that does not
+depend on numpy's sort algorithm.  All randomness flows from one
+counter-based Philox generator, making runs reproducible bit-for-bit for
+a given (config, seed)."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -30,8 +35,6 @@ import numpy as np
 from .constants import K_B
 from .errors import CellUnderflowWarning, DomainError, InsufficientDecay
 from .physics import SpeciesState, TrapFrequencies
-
-_CELL_KEY_SPAN = 1 << 20   # cells per axis in the virtual (unallocated) grid
 
 
 @dataclass
@@ -84,6 +87,11 @@ class DsmcConfig:
             raise DomainError("dt, t_end and cell_size must be positive")
         if self.record_every < 1:
             raise DomainError("record_every must be >= 1")
+        if not (isinstance(self.rng_seed, numbers.Integral)
+                and 0 <= self.rng_seed < 1 << 128):
+            raise DomainError(f"rng_seed must be an integer in [0, 2**128) "
+                              f"to key the Philox generator, got "
+                              f"{self.rng_seed!r}")
         w_max = max(max(f.omega_x, f.omega_y, f.omega_z) for f in self.traps)
         if self.dt >= 0.05 * 2.0 * math.pi / w_max:
             raise DomainError(
@@ -115,6 +123,12 @@ class DsmcResult:
     # physical collision count per channel, keyed by the ensemble index
     # pair (i, i) for same-species and (0, 1) for cross-species collisions
     channel_collisions: dict[tuple[int, int], float] | None = None
+    # per channel, keyed like channel_collisions: candidate pairs drawn,
+    # pairs accepted, majorant overflows (pairs whose speed exceeded the
+    # v_max of their acceptance draw) and accepted pairs dropped because a
+    # particle already collided that step; accepted - dropped is the
+    # number of test-particle collisions
+    diagnostics: dict[tuple[int, int], dict[str, int]] | None = None
 
 
 def kinetic_temperature(velocities: np.ndarray, mass: float) -> float:
@@ -158,48 +172,67 @@ def sample_equilibrium(species: SpeciesState, n: int, T: float,
 
 
 def _iso_directions(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k unit vectors uniform on the sphere."""
+    """k unit vectors uniform on the sphere, as a (3, k) array."""
     z = 2.0 * rng.random(k) - 1.0
     phi = 2.0 * math.pi * rng.random(k)
     s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def _speeds(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Relative speeds of k pairs given as (3, k) velocity arrays."""
+    rel = va - vb
+    rel *= rel
+    return np.sqrt(rel[0] + rel[1] + rel[2])
+
+
+def _scatter(va, vb, ma: float, mb: float, speed, rng: np.random.Generator):
+    """Post-collision velocities of k pairs, (3, k) each: the relative
+    velocity keeps its magnitude and takes an isotropic direction in the
+    centre-of-mass frame, so momentum is conserved exactly and kinetic
+    energy to round-off."""
+    mtot = ma + mb
+    vg = (ma * va + mb * vb) / mtot
+    d = _iso_directions(rng, len(speed)) * speed
+    return vg + (mb / mtot) * d, vg - (ma / mtot) * d
 
 
 def collide_pair(v1, v2, m1: float, m2: float,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Elastic s-wave collision: isotropic relative direction, exact
-    momentum conservation, kinetic energy conserved to round-off."""
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    mtot = m1 + m2
-    vg = (m1 * v1 + m2 * v2) / mtot
-    speed = float(np.linalg.norm(v1 - v2))
-    d = _iso_directions(rng, 1)[0]
-    return vg + (m2 / mtot) * speed * d, vg - (m1 / mtot) * speed * d
+    """Elastic s-wave collision of one pair (the kernel `run` applies to
+    every accepted pair): isotropic relative direction, exact momentum
+    conservation, kinetic energy conserved to round-off."""
+    va = np.asarray(v1, dtype=float).reshape(3, 1)
+    vb = np.asarray(v2, dtype=float).reshape(3, 1)
+    w1, w2 = _scatter(va, vb, m1, m2, _speeds(va, vb), rng)
+    return w1[:, 0], w2[:, 0]
 
 
-class _Propagator:
-    """Exact phase-space rotation of one species over a fixed dt."""
+class _Flight:
+    """Exact phase-space rotation of one species over a fixed dt, applied
+    in place to (3, n) position and velocity arrays."""
 
-    def __init__(self, trap: TrapFrequencies, dt: float):
-        self.omegas = np.array([trap.omega_x, trap.omega_y, trap.omega_z])
-        self.eq = np.array([0.0, 0.0, -trap.sag])
-        th = self.omegas * dt
-        self.c = np.cos(th)
-        self.s_over_w = np.sin(th) / self.omegas
-        self.ws = self.omegas * np.sin(th)
+    def __init__(self, trap: TrapFrequencies, dt: float, n: int):
+        omegas = np.array([trap.omega_x, trap.omega_y, trap.omega_z])
+        th = omegas * dt
+        self.eq = np.array([0.0, 0.0, -trap.sag])[:, None]
+        self.c = np.cos(th)[:, None]
+        self.s_over_w = (np.sin(th) / omegas)[:, None]
+        self.ws = (omegas * np.sin(th))[:, None]
+        self.dx = np.empty((3, n))
+        self.tmp = np.empty((3, n))    # also scratch for the cell indices
 
-    def step(self, ens: ParticleEnsemble) -> None:
-        dx = ens.positions - self.eq
-        v = ens.velocities
-        ens.positions = self.eq + self.c * dx + self.s_over_w * v
-        ens.velocities = self.c * v - self.ws * dx
-
-
-def _cell_keys(positions: np.ndarray, cell: float) -> np.ndarray:
-    idx = np.floor(positions / cell).astype(np.int64) + (_CELL_KEY_SPAN >> 1)
-    np.clip(idx, 0, _CELL_KEY_SPAN - 1, out=idx)
-    return (idx[:, 0] * _CELL_KEY_SPAN + idx[:, 1]) * _CELL_KEY_SPAN + idx[:, 2]
+    def step(self, x: np.ndarray, v: np.ndarray) -> None:
+        """x <- eq + c dx + (sin/w) v and v <- c v - w sin dx, dx = x - eq."""
+        dx, tmp = self.dx, self.tmp
+        np.subtract(x, self.eq, out=dx)
+        np.multiply(self.c, dx, out=x)
+        np.add(self.eq, x, out=x)
+        np.multiply(self.s_over_w, v, out=tmp)
+        x += tmp
+        np.multiply(self.c, v, out=v)
+        np.multiply(self.ws, dx, out=tmp)
+        v -= tmp
 
 
 class _Channel:
@@ -211,23 +244,65 @@ class _Channel:
         self.ib = ib
         self.sigma = sigma
         self.vmax = vmax0
-        self.events = 0
+        self.counts = dict.fromkeys(
+            ("candidates", "accepted", "overflows", "dropped"), 0)
 
 
 class _CellIndex:
-    """Sorted view of one ensemble's cell keys: occupied cells, their
-    particle counts and where each cell's particles start in the sorted
-    order.  One argsort per step; no dense grid arrays."""
+    """One ensemble's particles grouped by cell: the sorted particle order,
+    the occupied cells' keys, where each cell starts in that order and its
+    particle count."""
 
-    __slots__ = ("order", "ks", "uc", "starts", "counts")
+    __slots__ = ("order", "uc", "starts", "counts")
 
-    def __init__(self, keys: np.ndarray):
-        self.order = np.argsort(keys, kind="stable")
-        self.ks = keys[self.order]
-        cut = np.flatnonzero(self.ks[1:] != self.ks[:-1])
+    def __init__(self, packed: np.ndarray, bits: int):
+        packed = np.sort(packed)
+        self.order = packed & ((1 << bits) - 1)
+        ks = packed >> bits
+        cut = np.flatnonzero(ks[1:] != ks[:-1])
         self.starts = np.concatenate([[0], cut + 1])
-        self.uc = self.ks[self.starts]
-        self.counts = np.diff(np.concatenate([self.starts, [len(self.ks)]]))
+        self.uc = ks[self.starts]
+        self.counts = np.diff(np.concatenate([self.starts, [len(ks)]]))
+
+
+def _cell_indices(xs, scratch, cell: float) -> list[_CellIndex]:
+    """Group every ensemble's particles by cell, floor(x / cell) per axis.
+
+    The cell coordinates are offset by their minimum over all ensembles,
+    so the key (ix * ny + iy) * nz + iz is compact, ordered like (ix, iy,
+    iz) and shared between ensembles.  The particle index is packed into
+    the low bits: the packed keys are unique, so one plain sort gives the
+    same order as a stable sort of the cell keys, whatever algorithm numpy
+    picks.  `scratch` holds one (3, n) float buffer per ensemble.
+    """
+    floors = [np.floor(np.divide(x, cell, out=buf), out=buf)
+              for x, buf in zip(xs, scratch)]
+    lo = np.min([f.min(axis=1) for f in floors], axis=0)
+    hi = np.max([f.max(axis=1) for f in floors], axis=0)
+    bits = (max(f.shape[1] for f in floors) - 1).bit_length()
+    if not np.all(np.abs(np.concatenate([lo, hi])) < 2.0 ** 62):
+        raise DomainError(f"particle positions are not finite or lie "
+                          f"beyond 2**62 cells of cell_size = {cell:.3g} m")
+    span = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(span) << bits >= 1 << 63:
+        raise DomainError(
+            f"cell_size = {cell:.3g} m cuts the clouds into {span} cells "
+            f"per axis, too many for a 64-bit key with {bits} particle-index "
+            "bits; use a larger cell_size")
+    offset = lo.astype(np.int64)[:, None]
+    out = []
+    for f in floors:
+        idx = f.astype(np.int64)
+        idx -= offset
+        key = idx[0]
+        key *= span[1]
+        key += idx[1]
+        key *= span[2]
+        key += idx[2]
+        key <<= bits
+        key |= np.arange(f.shape[1])
+        out.append(_CellIndex(key, bits))
+    return out
 
 
 def _select_pairs(rng, same: bool, ca: _CellIndex, cb: _CellIndex, factor):
@@ -237,12 +312,11 @@ def _select_pairs(rng, same: bool, ca: _CellIndex, cb: _CellIndex, factor):
         pairs = 0.5 * na * (na - 1.0)
         nb = lo = None
     else:
-        left = np.searchsorted(cb.ks, ca.uc, side="left")
-        right = np.searchsorted(cb.ks, ca.uc, side="right")
-        nb = right - left
-        mask = nb > 0
+        at = np.searchsorted(cb.uc, ca.uc)
+        np.minimum(at, len(cb.uc) - 1, out=at)
+        mask = cb.uc[at] == ca.uc
         na, st_a = ca.counts[mask], ca.starts[mask]
-        nb, lo = nb[mask], left[mask]
+        nb, lo = cb.counts[at[mask]], cb.starts[at[mask]]
         pairs = na.astype(float) * nb
     m_float = pairs * factor
     m = m_float.astype(np.int64)
@@ -250,21 +324,21 @@ def _select_pairs(rng, same: bool, ca: _CellIndex, cb: _CellIndex, factor):
     total = int(m.sum())
     if total == 0:
         return None
-    rep = np.repeat(np.arange(len(m)), m)
-    na_rep = na[rep]
+    na_rep = np.repeat(na, m)
+    st_rep = np.repeat(st_a, m)
     i_loc = (rng.random(total) * na_rep).astype(np.int64)
     np.minimum(i_loc, na_rep - 1, out=i_loc)
-    ia = ca.order[st_a[rep] + i_loc]
+    ia = ca.order[st_rep + i_loc]
     if same:
         j_loc = (rng.random(total) * (na_rep - 1)).astype(np.int64)
         np.minimum(j_loc, na_rep - 2, out=j_loc)
         j_loc += j_loc >= i_loc
-        ib = ca.order[st_a[rep] + j_loc]
+        ib = ca.order[st_rep + j_loc]
     else:
-        nb_rep = nb[rep]
+        nb_rep = np.repeat(nb, m)
         j_loc = (rng.random(total) * nb_rep).astype(np.int64)
         np.minimum(j_loc, nb_rep - 1, out=j_loc)
-        ib = cb.order[lo[rep] + j_loc]
+        ib = cb.order[np.repeat(lo, m) + j_loc]
     return ia, ib
 
 
@@ -287,48 +361,53 @@ def run(cfg: DsmcConfig) -> DsmcResult:
     """Advance the configured system to t_end and record the history of
     kinetic temperatures and the cumulative physical collision count."""
     rng = np.random.Generator(np.random.Philox(key=cfg.rng_seed))
-    ens = tuple(ParticleEnsemble(e.species, e.positions.copy(),
-                                 e.velocities.copy(), e.weight)
-                for e in cfg.ensembles)
-    props = [_Propagator(trap, cfg.dt) for trap in cfg.traps]
-    weight = ens[0].weight
+    species = [e.species for e in cfg.ensembles]
+    masses = [sp.mass for sp in species]
+    # each species as (3, n) arrays, advanced and collided in place
+    xs = [np.array(e.positions.T, order="C") for e in cfg.ensembles]
+    vs = [np.array(e.velocities.T, order="C") for e in cfg.ensembles]
+    flights = [_Flight(trap, cfg.dt, e.n)
+               for trap, e in zip(cfg.traps, cfg.ensembles)]
+    scratch = [f.tmp for f in flights]
+    weight = cfg.ensembles[0].weight
     vc = cfg.cell_size ** 3
 
-    thermal = [math.sqrt(K_B * max(kinetic_temperature(e.velocities,
-                                                       e.species.mass), 1e-30)
-                         / e.species.mass) for e in ens]
+    def temperatures():
+        # (n, 3) row-major copies keep kinetic_temperature's summation order
+        return [kinetic_temperature(v.T.copy(), m) for v, m in zip(vs, masses)]
+
+    thermal = [math.sqrt(K_B * max(t, 1e-30) / m)
+               for t, m in zip(temperatures(), masses)]
     channels: list[_Channel] = []
-    for i, e in enumerate(ens):
-        if e.species.sigma_self > 0:
-            channels.append(_Channel(i, i, e.species.sigma_self,
+    for i, sp in enumerate(species):
+        if sp.sigma_self > 0:
+            channels.append(_Channel(i, i, sp.sigma_self,
                                      5.0 * math.sqrt(2.0) * thermal[i]))
-    if len(ens) == 2:
-        sig = ens[0].species.sigma_cross
-        if sig != ens[1].species.sigma_cross:
+    if len(species) == 2:
+        sig = species[0].sigma_cross
+        if sig != species[1].sigma_cross:
             raise DomainError("the two ensembles disagree on sigma_cross")
         if sig > 0:
             vmax0 = 5.0 * math.hypot(thermal[0], thermal[1])
             channels.append(_Channel(0, 1, sig, vmax0))
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    n_total = sum(e.n for e in ens)
+    n_total = sum(e.n for e in cfg.ensembles)
     times, temps, colls = [], [], []
     collisions = 0.0
     lone_sum, lone_n = 0.0, 0
 
     def record(step):
         times.append(step * cfg.dt)
-        temps.append([kinetic_temperature(e.velocities, e.species.mass)
-                      for e in ens])
+        temps.append(temperatures())
         colls.append(collisions)
 
     record(0)
     for step in range(1, n_steps + 1):
-        for e, prop in zip(ens, props):
-            prop.step(e)
+        for flight, x, v in zip(flights, xs, vs):
+            flight.step(x, v)
 
-        cells = [_CellIndex(_cell_keys(e.positions, cfg.cell_size))
-                 for e in ens]
+        cells = _cell_indices(xs, scratch, cfg.cell_size)
 
         lone_sum += sum(np.count_nonzero(c.counts == 1)
                         for c in cells) / n_total
@@ -342,13 +421,14 @@ def run(cfg: DsmcConfig) -> DsmcResult:
             if sel is None:
                 continue
             ia, ib = sel
-            va = ens[a].velocities
-            vb = ens[b].velocities
-            rel = va[ia] - vb[ib]
-            speed = np.sqrt(np.sum(rel * rel, axis=1))
+            va, vb = vs[a], vs[b]
+            speed = _speeds(va[:, ia], vb[:, ib])
             top = float(speed.max())
             acc = rng.random(len(speed)) * ch.vmax < speed
+            ch.counts["candidates"] += len(speed)
             if top > ch.vmax:
+                ch.counts["overflows"] += int(np.count_nonzero(
+                    speed > ch.vmax))
                 ch.vmax = 1.05 * top
             idx = np.flatnonzero(acc)
             if idx.size == 0:
@@ -358,15 +438,13 @@ def run(cfg: DsmcConfig) -> DsmcResult:
                 flat_keep = _dedup_pairs(ia, ib)
             else:
                 flat_keep = _dedup_pairs(ia, ib + (1 << 40))
+            ch.counts["accepted"] += idx.size
+            ch.counts["dropped"] += idx.size - flat_keep.size
             if flat_keep.size == 0:
                 continue
             ia, ib, speed = ia[flat_keep], ib[flat_keep], speed[flat_keep]
-            ma, mb = ens[a].species.mass, ens[b].species.mass
-            vg = (ma * va[ia] + mb * vb[ib]) / (ma + mb)
-            d = _iso_directions(rng, len(ia)) * speed[:, None]
-            va[ia] = vg + (mb / (ma + mb)) * d
-            vb[ib] = vg - (ma / (ma + mb)) * d
-            ch.events += len(ia)
+            va[:, ia], vb[:, ib] = _scatter(va[:, ia], vb[:, ib], masses[a],
+                                            masses[b], speed, rng)
             collisions += weight * len(ia)
 
         if step % cfg.record_every == 0 or step == n_steps:
@@ -378,13 +456,19 @@ def run(cfg: DsmcConfig) -> DsmcResult:
             f"{100 * lone_fraction:.0f}% of test particles sat alone in "
             "their collision cell on average; refine cell_size or add "
             "particles", CellUnderflowWarning, stacklevel=2)
-    per_channel = {(ch.ia, ch.ib): ch.events * weight for ch in channels}
+    ens = tuple(ParticleEnsemble(sp, x.T, v.T, weight)
+                for sp, x, v in zip(species, xs, vs))
     return DsmcResult(times=np.asarray(times),
                       temps=np.asarray(temps),
                       collisions_cum=np.asarray(colls),
                       ensembles=ens,
                       lone_particle_fraction=lone_fraction,
-                      channel_collisions=per_channel)
+                      channel_collisions={
+                          (ch.ia, ch.ib): (ch.counts["accepted"]
+                                           - ch.counts["dropped"]) * weight
+                          for ch in channels},
+                      diagnostics={(ch.ia, ch.ib): dict(ch.counts)
+                                   for ch in channels})
 
 
 def fit_relaxation(times, delta_T) -> tuple[float, float]:

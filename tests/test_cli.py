@@ -310,6 +310,25 @@ def test_dsmc_seed_flag_changes_data(tmp_path):
     assert read_json(b / "dsmc_manifest.json")["seed"] == 8
 
 
+@pytest.mark.parametrize("seed", ["-3", str(1 << 64)])
+def test_dsmc_bad_seed_flag_is_config_error(tmp_path, capsys, seed):
+    cfg, _ = dsmc_config(tmp_path)
+    assert main(["dsmc", "--config", cfg, "--out", str(tmp_path),
+                 "--seed", seed]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "dsmc.csv").exists()
+
+
+def test_dsmc_bad_seed_key_is_line_anchored(tmp_path, capsys):
+    _, obj = dsmc_config(tmp_path)
+    cfg = write_config(tmp_path / "neg.json", {**obj, "seed": -3})
+    lines = (tmp_path / "neg.json").read_text().splitlines()
+    line = 1 + next(i for i, text in enumerate(lines) if '"seed"' in text)
+    assert main(["dsmc", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and f"line {line}" in err
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_invalid_json_is_config_error(tmp_path, capsys):

@@ -5,6 +5,8 @@ standard errors, so they are deterministic here yet would catch real
 regressions of the sampling or collision machinery.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -262,6 +264,120 @@ def test_runs_are_reproducible():
     assert not np.array_equal(a.temps, c.temps)
 
 
+def _frozen_two_species():
+    """Rb against a 14.5 times lighter partner, each in its own sagged
+    trap, so both masses and both sags enter every step."""
+    rng = _rng(41)
+    f1 = TrapFrequencies.from_axes(F0.omega_x, F0.omega_y, F0.omega_z,
+                                   gravity=G_STANDARD)
+    f2 = TrapFrequencies.from_axes(*(w * math.sqrt(14.5) for w in (
+        F0.omega_x, F0.omega_y, F0.omega_z)), gravity=G_STANDARD)
+    e1 = sample_equilibrium(_species(4 * SIG, 8 * SIG), 2000, 1.3e-6, f1,
+                            rng, weight=10.0)
+    e2 = sample_equilibrium(_species(4 * SIG, 8 * SIG, MASS_RB87 / 14.5,
+                                     "light"), 2000, 0.7e-6, f2, rng,
+                            weight=10.0)
+    return DsmcConfig(ensembles=(e1, e2), traps=(f1, f2), dt=1e-4,
+                      t_end=0.01, cell_size=2.4e-6, rng_seed=42,
+                      record_every=7)
+
+
+def _frozen_one_species():
+    e = sample_equilibrium(_species(4 * SIG, 8 * SIG), 1500, 1.0e-6, F0,
+                           _rng(43), weight=10.0)
+    return DsmcConfig(ensembles=(e,), traps=(F0,), dt=3.2e-4, t_end=0.032,
+                      cell_size=2.4e-6, rng_seed=44, record_every=10)
+
+
+# sha256 of cos and sin of 4096 seeded angles on the machine that recorded
+# the digests below; numpy may evaluate them with other last-bit results
+# elsewhere (SIMD versus scalar code), which changes every digest
+_TRIG_FINGERPRINT = \
+    "e7136d9c892c79416ded36844268c2c6b09d72571237e6e2abf511a85bcad48c"
+
+
+@ignore_underflow
+@pytest.mark.parametrize("make, digest", [
+    (_frozen_two_species,
+     "3a1b34fe6fca5b00e1a17e40d4db0c90c59dea97ac83a63648415efa94653d20"),
+    (_frozen_one_species,
+     "086d31acee8c176008e51fb8a2ffa46f0ca869b0e6bb0396b3f1b24a7453669f"),
+])
+def test_frozen_digest(make, digest):
+    """A fixed config and seed give byte-identical temperatures, collision
+    counts and final ensembles; the digests were recorded before the step
+    kernel was rewritten, so a change of any floating-point operation, of
+    the cell grouping or of the random stream shows here."""
+    x = 2.0 * math.pi * _rng(0).random(4096)
+    trig = hashlib.sha256(np.cos(x).tobytes() + np.sin(x).tobytes())
+    if trig.hexdigest() != _TRIG_FINGERPRINT:
+        pytest.skip("numpy's cos/sin round differently on this machine")
+    out = run(make())
+    h = hashlib.sha256()
+    h.update(out.temps.tobytes())
+    h.update(out.collisions_cum.tobytes())
+    for e in out.ensembles:
+        h.update(e.positions.tobytes())
+        h.update(e.velocities.tobytes())
+    assert h.hexdigest() == digest
+
+
+@ignore_underflow
+def test_diagnostics_count_every_pair():
+    out = run(_frozen_two_species())
+    assert set(out.diagnostics) == set(out.channel_collisions)
+    collided = 0
+    for key, d in out.diagnostics.items():
+        assert 0 <= d["dropped"] <= d["accepted"] <= d["candidates"]
+        assert 0 <= d["overflows"] <= d["candidates"]
+        assert (d["accepted"] - d["dropped"]) * 10.0 \
+            == out.channel_collisions[key]
+        collided += d["accepted"] - d["dropped"]
+    assert collided * 10.0 == out.collisions_cum[-1]
+    assert sum(d["dropped"] for d in out.diagnostics.values()) > 0
+
+
+def _far_pair(x_a, x_b):
+    """Two Rb atoms on the x axis of a 1 Hz trap, drifting slowly apart
+    along y, with a cross section so large that sharing a cell for one
+    step makes them collide."""
+    trap = TrapFrequencies.from_axes(2 * math.pi, 2 * math.pi, 2 * math.pi,
+                                     gravity=0.0)
+    pos = np.array([[x_a, 1.2e-6, 1.2e-6], [x_b, 1.2e-6, 1.2e-6]])
+    vel = np.array([[0.0, 1e-3, 0.0], [0.0, -1e-3, 0.0]])
+    ens = ParticleEnsemble(species=_species(ss=1e-9), positions=pos,
+                           velocities=vel)
+    return DsmcConfig(ensembles=(ens,), traps=(trap,), dt=1e-4,
+                      t_end=5e-4, cell_size=2.4e-6, rng_seed=3)
+
+
+@ignore_underflow
+def test_distant_particles_never_share_a_cell():
+    """1.3 m and 1.4 m lie beyond 2**19 cells of 2.4 um; a bounded cell
+    grid would clip both into its edge cell and let them collide."""
+    assert run(_far_pair(1.3, 1.3 + 1e-8)).collisions_cum[-1] > 0
+    assert run(_far_pair(1.3, 1.4)).collisions_cum[-1] == 0
+    assert run(_far_pair(-1.4, 1.4)).collisions_cum[-1] == 0
+
+
+@ignore_underflow
+def test_cell_key_overflow_is_domain_error():
+    """A 1 m cloud cut into 0.1 um cells has 1e21 cells, beyond a 64-bit
+    key; the run must refuse rather than wrap the keys around."""
+    ens = ParticleEnsemble(species=_species(),
+                           positions=np.array([[0.0, 0.0, 0.0],
+                                               [1.0, 1.0, 1.0]]),
+                           velocities=np.zeros((2, 3)))
+    cfg = DsmcConfig(ensembles=(ens,), traps=(F0,), dt=3.2e-4, t_end=0.01,
+                     cell_size=1e-7, rng_seed=1)
+    with pytest.raises(DomainError, match="cell_size"):
+        run(cfg)
+    # a position with no cell at all is refused the same way
+    ens.positions[1, 0] = math.nan
+    with pytest.raises(DomainError, match="not finite"):
+        run(dataclasses.replace(cfg, cell_size=2.4e-6))
+
+
 # ------------------------------------------------------------- configuration
 
 def test_config_validation():
@@ -283,6 +399,21 @@ def test_config_validation():
                              velocities=e2.velocities, weight=2.0)
     with pytest.raises(DomainError):              # mixed weights
         DsmcConfig(ensembles=(e1, heavy), traps=(F0, F0), **ok)
+
+
+@pytest.mark.parametrize("seed", [-3, 1 << 128, "seven", None, 1.5])
+def test_config_rejects_bad_seed(seed):
+    ens = sample_equilibrium(_species(), 100, 1e-6, F0, _rng(34))
+    with pytest.raises(DomainError, match="rng_seed"):
+        DsmcConfig(ensembles=(ens,), traps=(F0,), dt=3.2e-4, t_end=0.01,
+                   cell_size=2.4e-6, rng_seed=seed)
+
+
+def test_config_accepts_largest_seed():
+    ens = sample_equilibrium(_species(), 100, 1e-6, F0, _rng(34))
+    cfg = DsmcConfig(ensembles=(ens,), traps=(F0,), dt=3.2e-4, t_end=0.01,
+                     cell_size=2.4e-6, rng_seed=(1 << 128) - 1)
+    assert cfg.rng_seed == (1 << 128) - 1
 
 
 def test_config_allows_point_cloud():
