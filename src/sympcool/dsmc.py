@@ -83,8 +83,15 @@ class DsmcConfig:
         if len(self.ensembles) not in (1, 2) \
                 or len(self.traps) != len(self.ensembles):
             raise DomainError("need 1 or 2 ensembles with matching traps")
-        if self.dt <= 0 or self.t_end <= 0 or self.cell_size <= 0:
-            raise DomainError("dt, t_end and cell_size must be positive")
+        if not all(0 < x < math.inf
+                   for x in (self.dt, self.t_end, self.cell_size)):
+            raise DomainError("dt, t_end and cell_size must be positive "
+                              "and finite")
+        if not all(np.isfinite(e.positions).all()
+                   and np.isfinite(e.velocities).all()
+                   for e in self.ensembles):
+            raise DomainError("ensemble positions or velocities are not "
+                              "finite")
         if self.record_every < 1:
             raise DomainError("record_every must be >= 1")
         if not (isinstance(self.rng_seed, numbers.Integral)

@@ -339,12 +339,15 @@ def simulate_with_audit(cfg: TrajectoryConfig):
     return _simulate_finite(cfg)
 
 
-def detect_events(points: Sequence[TrajectoryPoint]) -> list[TrajectoryEvent]:
+def detect_events(points: Sequence[TrajectoryPoint],
+                  bec_threshold: float = BEC_THRESHOLD
+                  ) -> list[TrajectoryEvent]:
     """Flag transitions of a trajectory, with interpolated times.
 
-    BEC times interpolate the phase-space density through its threshold
-    between the bracketing samples; the stall time interpolates the
-    overlap factor through 0.01.
+    BEC times interpolate the phase-space density through bec_threshold
+    (pass the trajectory's TrajectoryConfig.bec_threshold) between the
+    bracketing samples; the stall time interpolates the overlap factor
+    through 0.01.
     """
     events: list[TrajectoryEvent] = []
 
@@ -374,7 +377,7 @@ def detect_events(points: Sequence[TrajectoryPoint]) -> list[TrajectoryEvent]:
             continue
         d0 = getattr(points[i - 1], field_name)
         d1 = getattr(points[i], field_name)
-        frac = 0.0 if d1 == d0 else (BEC_THRESHOLD - d0) / (d1 - d0)
+        frac = 0.0 if d1 == d0 else (bec_threshold - d0) / (d1 - d0)
         interp(i, min(max(frac, 0.0), 1.0), kind)
 
     i = first_flag("stalled")
@@ -403,11 +406,18 @@ def detect_events(points: Sequence[TrajectoryPoint]) -> list[TrajectoryEvent]:
     return events
 
 
-def region_from_events(points: Sequence[TrajectoryPoint]) -> Region:
+def region_from_events(points: Sequence[TrajectoryPoint],
+                       bec_threshold: float = BEC_THRESHOLD) -> Region:
+    """Regime label of a full-ramp trajectory: region_of_events applied to
+    detect_events(points, bec_threshold)."""
+    return region_of_events(detect_events(points, bec_threshold))
+
+
+def region_of_events(events: Sequence[TrajectoryEvent]) -> Region:
     """Map the chronological condensation events of a full-ramp trajectory
     onto the regime labels of the budget classifier."""
-    events = {e.kind: e.t for e in detect_events(points)}
-    t1, t2 = events.get("bec1"), events.get("bec2")
+    times = {e.kind: e.t for e in events}
+    t1, t2 = times.get("bec1"), times.get("bec2")
     if t1 is not None and t2 is not None:
         return Region.DUAL_BUFFER_FIRST if t1 < t2 else Region.DUAL_TARGET_FIRST
     if t2 is not None:

@@ -1,12 +1,20 @@
 """Command-line surface: exit codes, file formats, manifests, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sympcool import MASS_RB87, constants_table
 from sympcool.cli import main
@@ -394,3 +402,484 @@ def test_console_script_runs():
                            "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+# ------------------------------------------------------- frozen CLI digests
+
+README_TRAP = {**TRAP_56G, "buffer": {"F": 1, "mF": -1},
+               "target": {"F": 2, "mF": 2}}
+README_BUDGET = {"eta": 6.5, "N1_ini": 1e8, "N2": 1e4, "T_ini_uK": 300,
+                 "omega1_bar_rad_per_s": 628.3,
+                 "omega2_bar_rad_per_s": 888.6}
+_W = {"omega_x_rad_per_s": 628.3, "omega_y_rad_per_s": 628.3,
+      "omega_z_rad_per_s": 628.3}
+README_STATE = {"N1": 1e6, "N2": 1e4, "T1_uK": 0.4, "T2_uK": 0.4,
+                "M1_amu": 86.909, "M2_amu": 86.909, "sigma12_m2": 2e-15,
+                "delta_um": 26, "trap1": _W, "trap2": _W}
+README_TRAJ = {
+    "eta": 6.5, "contact_mode": "finite", "t_end_s": 30, "dt_max_s": 0.05,
+    "initial": {"N1": 1e6, "N2": 1e4, "T1_uK": 10, "T2_uK": 10,
+                "M1_amu": 86.909, "M2_amu": 86.909, "sigma12_m2": 2e-15,
+                "trap1": {**_W, "gravity_m_per_s2": 0},
+                "trap2": {**_W, "gravity_m_per_s2": 0}},
+    "evaporation": {"model": "rate", "prefactor": 5, "sigma_self_m2": 2e-15},
+}
+_DSMC_W = {"omega_x_rad_per_s": 502.65, "omega_y_rad_per_s": 628.32,
+           "omega_z_rad_per_s": 785.40}
+# the README's dsmc example cut from 2.2 s to 0.02 s of evolution
+README_DSMC = {
+    "species": [{"n_test": 20000, "T_uK": 1.15, "sigma_self_m2": 1.4e-15,
+                 "sigma_cross_m2": 1.4e-15},
+                {"n_test": 20000, "T_uK": 0.85, "sigma_self_m2": 1.4e-15,
+                 "sigma_cross_m2": 1.4e-15}],
+    "traps": [_DSMC_W, _DSMC_W], "dt_s": 3.2e-4, "t_end_s": 0.02,
+    "cell_size_um": 2.4, "record_every": 20, "seed": 11}
+
+
+def _frozen_cases(tmp_path):
+    """(name, argv without --out, --out file name or None) of every config
+    this module runs, the README examples and the JSON table variants."""
+    _, traj = traj_config(tmp_path)
+    _, dsmc2 = dsmc_config(tmp_path)
+    _, dsmc1 = dsmc_config(tmp_path, two_species=False)
+    _, state = contact_state(tmp_path)
+    ramp = {**traj, "t_end_s": 12.0, "dt_max_s": 0.25,
+            "initial": {**traj["initial"], "N2": 2e4, "T1_uK": 2.0,
+                        "T2_uK": 2.0},
+            "evaporation": {"model": "ramp", "times_s": [0.0, 10.0],
+                            "numbers": [1e6, 0.0]}}
+    budget = {"eta": 6.5, "N1_ini": 1e8, "N2": 1e4, "T_ini_uK": 300,
+              "omega1_bar_rad_per_s": 289.49564890835956,
+              "omega2_bar_rad_per_s": 289.49564890835956 * math.sqrt(2)}
+    shallow = {"eta": 2.5, "N1_ini": 1e8, "N2": 1e4, "T_ini_uK": 300,
+               "omega1_bar_rad_per_s": 500.0, "omega2_bar_rad_per_s": 500.0}
+    pd = ["phase-diagram", "--ratio", "1.414"]
+    small = pd + ["--eta-points", "3", "--n2-points", "4"]
+    configs = {
+        "trap_56G": ("trap", TRAP_56G), "trap_readme": ("trap", README_TRAP),
+        "budget": ("budget", budget), "budget_shallow": ("budget", shallow),
+        "budget_readme": ("budget", README_BUDGET),
+        "contact_sweep": ("contact", state),
+        "contact_readme": ("contact", README_STATE),
+        "traj_instant": ("traj", traj),
+        "traj_finite": ("traj", {**traj, "contact_mode": "finite",
+                                 "t_end_s": 5.0}),
+        "traj_ramp": ("traj", ramp), "traj_readme": ("traj", README_TRAJ),
+        "dsmc_two": ("dsmc", dsmc2), "dsmc_one": ("dsmc", dsmc1),
+        "dsmc_readme": ("dsmc", README_DSMC)}
+    paths = {name: write_config(tmp_path / f"{name}.json", obj)
+             for name, (_, obj) in configs.items()}
+
+    def run(name, *extra, config=None):
+        sub, _ = configs[config or name]
+        return [sub, "--config", paths[config or name], *extra]
+
+    sweep = ["--sweep", "delta:0:40e-6:81"]
+    return [
+        ("trap_56G", run("trap_56G"), None),
+        ("trap_readme", run("trap_readme"), None),
+        ("budget", run("budget"), None),
+        ("budget_shallow", run("budget_shallow"), None),
+        ("budget_readme", run("budget_readme"), None),
+        ("pd_fig3", pd + ["--eta-min", "4", "--eta-max", "10"], "fig3.csv"),
+        ("pd_readme", pd + ["--eta-min", "4", "--eta-max", "10",
+                            "--eta-points", "13", "--plot-script"],
+         "fig3.csv"),
+        ("pd_json", small + ["--format", "json"], None),
+        ("pd_json_path", small, "grid.json"),
+        ("contact_sweep", run("contact_sweep", *sweep), None),
+        ("contact_sweep_json", run("contact_sweep", *sweep, "--format",
+                                   "json", config="contact_sweep"), None),
+        ("contact_T_json", run("contact_sweep", "--sweep", "T:2e-7:2e-6:5",
+                               "--format", "json", config="contact_sweep"),
+         None),
+        ("contact_readme", run("contact_readme", *sweep), None),
+        ("traj_instant", run("traj_instant"), None),
+        ("traj_instant_json", run("traj_instant", "--format", "json",
+                                  config="traj_instant"), None),
+        ("traj_finite", run("traj_finite"), None),
+        ("traj_plot", run("traj_instant", "--plot-script",
+                          config="traj_instant"), None),
+        ("traj_ramp", run("traj_ramp"), None),
+        ("traj_readme", run("traj_readme", "--plot-script"), None),
+        ("dsmc_two", run("dsmc_two"), None),
+        ("dsmc_two_json", run("dsmc_two", "--format", "json",
+                              config="dsmc_two"), None),
+        ("dsmc_one", run("dsmc_one"), None),
+        ("dsmc_seed8", run("dsmc_two", "--seed", "8", config="dsmc_two"),
+         None),
+        ("dsmc_readme", run("dsmc_readme", "--seed", "7"), None),
+    ]
+
+
+def _file_digests(out):
+    """sha256 of every file in out; a manifest is hashed without its
+    wall_time and command (which holds the --out path)."""
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith("_manifest.json"):
+            manifest = json.loads(data)
+            del manifest["wall_time"], manifest["command"]
+            data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+        digests[f"{out.name}/{path.name}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+# sha256 of libm and numpy results (exp, log, pow, cos, sin) on the machine
+# that recorded the digests below; other last-bit results elsewhere change
+# the data files without any change of the program
+_MATH_FINGERPRINT = \
+    "9aa10f18f10751621087d43313fa54e374093b849ac0eccaa60f45f59b87f764"
+
+# recorded before the config schema and the one table writer
+FROZEN = {
+    "trap_56G/constants.json":
+        "f735db0aca6fc9b7c058fc01c344e21044871b4ddcc1f8afbb43bb0e0ac27b8b",
+    "trap_56G/trap_frequencies.json":
+        "24e9b5b1b45ac06074e86430d040ee88f7bf6af9d050b5053ce81de3f11baf11",
+    "trap_56G/trap_manifest.json":
+        "9c0cbea95bad226b30db245fa4ca487aaa0f40c5fe0af7115ae65c4f905946c3",
+    "trap_readme/constants.json":
+        "f735db0aca6fc9b7c058fc01c344e21044871b4ddcc1f8afbb43bb0e0ac27b8b",
+    "trap_readme/trap_frequencies.json":
+        "24e9b5b1b45ac06074e86430d040ee88f7bf6af9d050b5053ce81de3f11baf11",
+    "trap_readme/trap_manifest.json":
+        "52b2bcbd8ca29418baa4297398fa19e360ecbb944074fd0717842db9ed976db3",
+    "budget/budget_manifest.json":
+        "957478dc84f30e2a50e9f2684851ee67a4e07fe0771f45cc886f76af3c56124b",
+    "budget/budget_outcome.json":
+        "b9a0995add2a21618682c87f492216beb2a5752bc7fcec4c42c2592051287971",
+    "budget_shallow/budget_manifest.json":
+        "f356c450db0c19d8bf6cee062e2279e24bfbdcd1469b6a364a818957d7037a76",
+    "budget_shallow/budget_outcome.json":
+        "a82592bf5ae1673322fb97a62994b84f348dea82cdaa4fd35d03ba1faa2e68ab",
+    "budget_readme/budget_manifest.json":
+        "34dc775c51a5e566ffe788b8a1baebb286a4632f3f719b9735139ed6805e995c",
+    "budget_readme/budget_outcome.json":
+        "291347a191ccea1fca39c56b695d1663feea9a87f454294eacd1b8c2f76bc10e",
+    "pd_fig3/fig3.csv":
+        "259d42784ab9f8c4b0179ca2de936cc28c0d85bd1820be8779c91014266de145",
+    "pd_fig3/fig3_boundaries.json":
+        "20bd3d64d59aa2225e1079fc8c913b099ed67080018b9e46f31a2163b383cf5b",
+    "pd_fig3/fig3_manifest.json":
+        "cba9b0013ac3fa1587a84ff34072706aff4e40c2710cc8d9c77258689f64c00c",
+    "pd_readme/fig3.csv":
+        "259d42784ab9f8c4b0179ca2de936cc28c0d85bd1820be8779c91014266de145",
+    "pd_readme/fig3.gp":
+        "9adb759031177f05c2a2a001e39edd596bd0e02c9670b6a2ab8f4d1e9eddb6dc",
+    "pd_readme/fig3_boundaries.json":
+        "20bd3d64d59aa2225e1079fc8c913b099ed67080018b9e46f31a2163b383cf5b",
+    "pd_readme/fig3_manifest.json":
+        "f9edeced30ee8fbfd7c9b9fc80a573199143a10331020811267fc8692a27540e",
+    "pd_json/phase_diagram.json":
+        "b67fb00d3028f3d1fb8000f07e326e8adcc8e42350b080fd689b8e2a5ed57a0f",
+    "pd_json/phase_diagram_boundaries.json":
+        "fb5b43e1761cecdc94225ce8667671f6d43c643837b71101ae3ed242c597b631",
+    "pd_json/phase_diagram_manifest.json":
+        "0e883fd74a9f6d7967cfbd75bf813e6adb0008c968784a1d64ae9a001e4f3903",
+    "pd_json_path/grid.json":
+        "b67fb00d3028f3d1fb8000f07e326e8adcc8e42350b080fd689b8e2a5ed57a0f",
+    "pd_json_path/grid_boundaries.json":
+        "fb5b43e1761cecdc94225ce8667671f6d43c643837b71101ae3ed242c597b631",
+    "pd_json_path/grid_manifest.json":
+        "63467900662e3a1d60f7cafd7d0b464737e4922f3c44536f3eca13baa800e5af",
+    "contact_sweep/contact_manifest.json":
+        "eb0d600f8e6295cde313bbd97f5431b6faf3f3230e7d9e382cb1dc3d7a940396",
+    "contact_sweep/contact_summary.json":
+        "fbfdfdc0395cd9dd74b7bd002c70f5a1c4921c8cc64fb53b3f3170f14155c893",
+    "contact_sweep/contact_sweep.csv":
+        "c829e9c6c3ab57dbf06353c4085d1c6d9e41396fadfbc2862f925573f9852232",
+    "contact_sweep_json/contact_manifest.json":
+        "0f533bcc5ae052d66a9739421ab172199848c114d1e5d91ff892898c1cf740da",
+    "contact_sweep_json/contact_summary.json":
+        "fbfdfdc0395cd9dd74b7bd002c70f5a1c4921c8cc64fb53b3f3170f14155c893",
+    "contact_sweep_json/contact_sweep.json":
+        "7f2370f7e8c7583428e6f6a82095fa17cc169e5edc88cfc9d63b5c42557f31ca",
+    "contact_T_json/contact_manifest.json":
+        "0f533bcc5ae052d66a9739421ab172199848c114d1e5d91ff892898c1cf740da",
+    "contact_T_json/contact_summary.json":
+        "fbfdfdc0395cd9dd74b7bd002c70f5a1c4921c8cc64fb53b3f3170f14155c893",
+    "contact_T_json/contact_sweep.json":
+        "a1570f59caa3f531f5cf9e125d92f2603363258b6ecc39ccb717b6108af8e0ea",
+    "contact_readme/contact_manifest.json":
+        "249fd2e9cd84593b38215d8f7a3b37014df3ac6d593b589760c5634de83b1546",
+    "contact_readme/contact_summary.json":
+        "9492b9e6abff052248b526223f2b271ed58dcc12973ad0f21b4bb1960cede682",
+    "contact_readme/contact_sweep.csv":
+        "ad6e93f5bc484e929b5f33d153f068ca9e89e3e278d7be0ee9d556eba05d60a2",
+    "traj_instant/traj.csv":
+        "4f37dca10ca1a7412e57bea864700630e996d9a953face2cb9fbf4749a9f185c",
+    "traj_instant/traj_events.json":
+        "20068ced2e97571e81100640a4f35316fb1f3898b978dd1b1c6af9d6979deec0",
+    "traj_instant/traj_manifest.json":
+        "5ce1d24e7c5c17e65a99772bbb43e3a0c4b64bd8321fbeea8d993fe9589a755a",
+    "traj_instant_json/traj.json":
+        "7a6a4a09ecfafd11827fca30fcb8544d64f63a9b5eab7e1213ee39c00aa14521",
+    "traj_instant_json/traj_events.json":
+        "20068ced2e97571e81100640a4f35316fb1f3898b978dd1b1c6af9d6979deec0",
+    "traj_instant_json/traj_manifest.json":
+        "ecf310a700a7a38d93287c921cdcd3622461a69924b584bb2a3b016aa62153f9",
+    "traj_finite/traj.csv":
+        "6d8fb3e8d54f88da5357d58c4b6ee4de152762b8caee03da32719077b611df9b",
+    "traj_finite/traj_events.json":
+        "8621110dcc61e5e5d4d528885548a7f54b70674f1a90ac8cc0e3686547e42850",
+    "traj_finite/traj_manifest.json":
+        "5ba375d669051415c82887c948454cc6f7fa0d7a25288224e5cb56ef7b88e353",
+    "traj_plot/traj.csv":
+        "4f37dca10ca1a7412e57bea864700630e996d9a953face2cb9fbf4749a9f185c",
+    "traj_plot/traj.gp":
+        "a5d497dcea71876c0711e542480b9419d40be80f193bda93130b60b36b2f3f3d",
+    "traj_plot/traj_events.json":
+        "20068ced2e97571e81100640a4f35316fb1f3898b978dd1b1c6af9d6979deec0",
+    "traj_plot/traj_manifest.json":
+        "4384b3dd5150fbeb83f90ba228f2a901cdf59a105672b8ea77858530029e4452",
+    "traj_ramp/traj.csv":
+        "44f66c99813d737a3f28b0610048331bb8ec276a129ea510f2cc71c90f70af11",
+    "traj_ramp/traj_events.json":
+        "a072eda63d82514b769c9b40f04e0eecea7fd788f85f7bb85a0bf2e0a78aaf01",
+    "traj_ramp/traj_manifest.json":
+        "73c77737780816f0cfc92bca2d751200ffa05d07734e628b862b690afe697e5e",
+    "traj_readme/traj.csv":
+        "737ca4627872723080dc61fed7175a49729042797ce0d1a3718f5c6bc07645fe",
+    "traj_readme/traj.gp":
+        "a5d497dcea71876c0711e542480b9419d40be80f193bda93130b60b36b2f3f3d",
+    "traj_readme/traj_events.json":
+        "89f25949d43d224a00081c53bdff96deb533d29f4fcd61ecfdef32f3e29ff97b",
+    "traj_readme/traj_manifest.json":
+        "980b1d662de2be773b94901272d6322c6152be4d5c92004ad755460081ef2b54",
+    "dsmc_two/dsmc.csv":
+        "d7e9dfb0d1f5ec73d56e33dabfb7950140ee6dd0ff30f8c8fe6f3ca89486bdd1",
+    "dsmc_two/dsmc_manifest.json":
+        "e3fe41cecae3e44f86a3b3138a59a7b8546d80c7bc28ebbc382c5dbf91b4cff0",
+    "dsmc_two/dsmc_summary.json":
+        "985f858a33828c35c5139a4138dc909c1b0b33be3ecd4adc92a01293e507cfe8",
+    "dsmc_two_json/dsmc.json":
+        "1bf72e4cf23146de3214ae48e397154833816678ec80cd63766d1286f1cabf9c",
+    "dsmc_two_json/dsmc_manifest.json":
+        "d994ae44e55a61b11b7536b03e6fbb317885a686e93236e636834637ed141383",
+    "dsmc_two_json/dsmc_summary.json":
+        "985f858a33828c35c5139a4138dc909c1b0b33be3ecd4adc92a01293e507cfe8",
+    "dsmc_one/dsmc.csv":
+        "fe05e013f3251af6d7f4d043c79e75e53e8a19013c4b5d8a435b7bc64c88d651",
+    "dsmc_one/dsmc_manifest.json":
+        "3e718df055d5141c3442cbab69bc1fb6f054cb931598e6fb314516e0b6a6a819",
+    "dsmc_one/dsmc_summary.json":
+        "046fa75b16195f379608b8fe512e22674ac87f89e83541fcacc2622937991abb",
+    "dsmc_seed8/dsmc.csv":
+        "35f80950f7c5040eb76b675515a862c6908aeaa570e8546e069c324ec3a12177",
+    "dsmc_seed8/dsmc_manifest.json":
+        "7ae6e904bc97014bc4e5d5a3a792ab9648183cfb87d03bceddb51d01925b8c3a",
+    "dsmc_seed8/dsmc_summary.json":
+        "1b35edcd254ff7408328cbed649ce041da92e079a54d05dc7f3f918f8a26990e",
+    "dsmc_readme/dsmc.csv":
+        "e544a03aa5efa1b426a62dcd967cffd9c90c02d6075016b0d7ca98916d084a99",
+    "dsmc_readme/dsmc_manifest.json":
+        "4f0a8a6b8864604d0f1c5a21d822b3ad43b3398067f992e4d8b054824c74c4ca",
+    "dsmc_readme/dsmc_summary.json":
+        "e7b8b26be7bee894a5fc169f6f6a8d5fbbd8b9a67175278ab19d6e9b5b9d014d",
+}
+
+
+def _math_fingerprint():
+    x = 10.0 * np.random.Generator(np.random.Philox(0)).random(4096)
+    h = hashlib.sha256()
+    for f in (np.exp, np.log, np.cos, np.sin, np.cbrt):
+        h.update(f(x).tobytes())
+    h.update(np.array([math.exp(v) + math.log(v) + v ** (1.0 / 3.0)
+                       + v ** 2.5 for v in x]).tobytes())
+    return h.hexdigest()
+
+
+def test_frozen_cli_digests(tmp_path):
+    """Every data file and manifest of the covered configs is byte-identical
+    to the one recorded before the config parsing and table writing were
+    rewritten."""
+    if _math_fingerprint() != _MATH_FINGERPRINT:
+        pytest.skip("libm or numpy round differently on this machine")
+    found = {}
+    (tmp_path / "cfg").mkdir()
+    for name, argv, out_file in _frozen_cases(tmp_path / "cfg"):
+        out = tmp_path / name
+        target = out / out_file if out_file else out
+        assert main(argv + ["--out", str(target)]) == 0, name
+        found.update(_file_digests(out))
+    assert found == FROZEN
+
+
+# ------------------------------------------------ non-finite input, anchors
+
+def _line_of(path, key):
+    lines = path.read_text().splitlines()
+    return 1 + next(i for i, text in enumerate(lines) if f'"{key}"' in text)
+
+
+@pytest.mark.parametrize("key", sorted(README_BUDGET))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_budget_rejects_non_finite_values(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "b.json", {**README_BUDGET, key: value})
+    out = tmp_path / "out"
+    assert main(["budget", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {_line_of(tmp_path / 'b.json', key)})" in err
+    assert key in err and "finite" in err
+    assert not out.exists()
+
+
+def test_json_writer_refuses_non_finite(tmp_path):
+    from sympcool.cli import _write_json
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"t_min_nK": math.nan})
+
+
+@pytest.mark.parametrize("flag", ["--eta-max", "--n2-min", "--ratio"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_phase_diagram_rejects_non_finite_flags(tmp_path, flag, value):
+    argv = ["phase-diagram", "--ratio", "1.414", "--out", str(tmp_path)]
+    assert main(argv + [flag, value]) == 2
+    assert not (tmp_path / "phase_diagram.csv").exists()
+
+
+def test_contact_sweep_rejects_non_finite_bounds(tmp_path):
+    cfg, _ = contact_state(tmp_path)
+    assert main(["contact", "--state", cfg, "--out", str(tmp_path),
+                 "--sweep", "delta:0:inf:5"]) == 2
+
+
+def test_dsmc_cell_size_error_names_its_key(tmp_path, capsys):
+    """The cell-size bound is checked by DsmcConfig; its error names the
+    line of cell_size_um (20 in this layout), not of dt_s (18)."""
+    _, obj = dsmc_config(tmp_path, two_species=False)
+    path = tmp_path / "big.json"
+    cfg = write_config(path, {**obj, "cell_size_um": 50.0})
+    assert _line_of(path, "cell_size_um") == 20
+    assert main(["dsmc", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "(line 20)" in err and "cell_size" in err
+
+
+def test_second_species_error_names_its_own_line(tmp_path, capsys):
+    """An error in species[1] points into the second species object, not
+    at the same key of the first."""
+    _, obj = dsmc_config(tmp_path)
+    obj["species"][1] = {**obj["species"][1], "T_uK": math.nan}
+    path = tmp_path / "nan.json"
+    cfg = write_config(path, obj)
+    lines = path.read_text().splitlines()
+    second = [i + 1 for i, text in enumerate(lines) if '"T_uK"' in text][1]
+    assert main(["dsmc", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"(line {second})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, obj, change, key, below", [
+    ("budget", README_BUDGET, {"N2": 1e9}, "N1_ini", 0),
+    ("budget", README_BUDGET, {"eta": 1.5}, "eta", 0),
+    ("contact", README_STATE, {"sigma12_m2": -1e-15}, "sigma12_m2", 0),
+    # the mF line inside target, not the buffer's mF line above it
+    ("trap", README_TRAP, {"target": {"mF": -2}}, "target", 1),
+])
+def test_constructor_errors_name_their_key(tmp_path, capsys, cmd, obj,
+                                           change, key, below):
+    """A constructor's DomainError is anchored at the key whose field its
+    message names."""
+    path = tmp_path / "c.json"
+    cfg = write_config(path, {**obj, **change})
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
+    line = _line_of(path, key) + below
+    assert f"(line {line})" in capsys.readouterr().err
+
+
+def test_traj_events_use_configured_threshold(tmp_path):
+    """Instant mode with bec_threshold 1.5: each BEC time is the linear
+    interpolation of D through 1.5 between the bracketing traj.csv rows."""
+    cfg, _ = traj_config(
+        tmp_path, t_end_s=12.0, dt_max_s=0.25, bec_threshold=1.5,
+        initial={"N1": 1e6, "N2": 2e4, "T1_uK": 2.0, "T2_uK": 2.0,
+                 "M1_amu": 86.909180531, "M2_amu": 86.909180531,
+                 "sigma12_m2": 2e-15,
+                 "trap1": {**_W, "gravity_m_per_s2": 0},
+                 "trap2": {**_W, "gravity_m_per_s2": 0}},
+        evaporation={"model": "ramp", "times_s": [0.0, 10.0],
+                     "numbers": [1e6, 0.0]})
+    assert main(["traj", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "traj.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = np.array([[float(c) for c in line.split(",")]
+                     for line in lines[1:]])
+    events = {e["kind"]: e["t"]
+              for e in read_json(tmp_path / "traj_events.json")["events"]}
+    for kind, d in (("bec1", "D1"), ("bec2", "D2")):
+        i = int(np.flatnonzero(rows[:, header.index(kind)] > 0.5)[0])
+        (t0, d0), (t1, d1) = rows[i - 1:i + 1, [0, header.index(d)]]
+        want = t0 + (1.5 - d0) / (d1 - d0) * (t1 - t0)
+        assert events[kind] == pytest.approx(want, rel=1e-12)
+        assert t0 < events[kind] < t1
+
+
+def test_parser_is_built_once():
+    from sympcool.cli import build_parser
+    assert build_parser() is build_parser()
+
+
+# ------------------------------------------------------------------- fuzz
+
+# values a mutation puts in place of a config value
+_MUTANTS = [math.nan, math.inf, -math.inf, 0, 0.0, -1.0, -7, "text", [],
+            [1.0], {}, True, None]
+_FUZZ_RUNS = {"trap": (README_TRAP, []),
+              "budget": (README_BUDGET, []),
+              "contact": (README_STATE, ["--sweep", "delta:0:40e-6:5",
+                                         "--format", "json"])}
+
+
+def _paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutate(draw, obj):
+    obj = json.loads(json.dumps(obj))
+    path = draw(st.sampled_from(sorted(_paths(obj))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    op = draw(st.sampled_from(["drop", "add", "value"]))
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "add":
+        parent[draw(st.sampled_from(["bogus", "T_uK", "eta_"]))] = 1.0
+    else:
+        parent[path[-1]] = draw(st.sampled_from(_MUTANTS))
+    return obj
+
+
+def _strict(text):
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_configs_fail_on_a_line_or_write_strict_json(data):
+    """A config with dropped or unknown keys, wrong types, non-finite,
+    zero or negative values either fails with exit 2 and a line number or
+    runs and writes only strict JSON."""
+    cmd = data.draw(st.sampled_from(sorted(_FUZZ_RUNS)))
+    base, extra = _FUZZ_RUNS[cmd]
+    obj = base
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj = _mutate(data.draw, obj)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "c.json", obj)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([cmd, "--config", cfg, "--out", tmp + "/out", *extra])
+        if code == 2:
+            assert re.search(r"\(line \d+\)", err.getvalue()), err.getvalue()
+        else:
+            assert code == 0, err.getvalue()
+            for out in (Path(tmp) / "out").glob("*.json"):
+                _strict(out.read_text())

@@ -490,3 +490,25 @@ def test_fit_insufficient_decay():
         fit_relaxation(t, np.zeros_like(t))
     with pytest.raises(DomainError):
         fit_relaxation(t, np.ones((2, 25)))
+
+
+@pytest.mark.parametrize("where, value", [
+    ("velocities", math.nan), ("velocities", math.inf),
+    ("positions", -math.inf)])
+def test_config_rejects_non_finite_ensemble(where, value):
+    """A NaN or infinite coordinate is refused at construction, not after
+    the first flight step."""
+    ens = sample_equilibrium(_species(), 100, 1e-6, F0, _rng(35))
+    getattr(ens, where)[3, 1] = value
+    with pytest.raises(DomainError, match="not finite"):
+        DsmcConfig(ensembles=(ens,), traps=(F0,), dt=3.2e-4, t_end=0.01,
+                   cell_size=2.4e-6, rng_seed=1)
+
+
+@pytest.mark.parametrize("knob", ["dt", "t_end", "cell_size"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_knobs(knob, value):
+    ens = sample_equilibrium(_species(), 100, 1e-6, F0, _rng(36))
+    ok = dict(dt=3.2e-4, t_end=0.01, cell_size=2.4e-6, rng_seed=1)
+    with pytest.raises(DomainError, match="finite"):
+        DsmcConfig(ensembles=(ens,), traps=(F0,), **{**ok, knob: value})

@@ -21,6 +21,7 @@ from sympcool import (
     detect_events,
     interspecies_thermalization_rate,
     region_from_events,
+    region_of_events,
     rms_sizes,
     simulate,
     simulate_with_audit,
@@ -361,3 +362,20 @@ def test_detect_events_initial_flag():
 def test_detect_events_empty():
     pts = [_pt(0.0), _pt(1.0)]
     assert detect_events(pts) == []
+
+
+def test_detect_events_configured_threshold():
+    """BEC times interpolate through the threshold they are given, not
+    through the module default (which would clamp both to the later
+    sample here)."""
+    pts = [_pt(0.0, D1=1.0, D2=0.5),
+           _pt(1.0, D1=2.0, D2=1.0, bec1=True),
+           _pt(2.0, D1=3.0, D2=2.0, bec1=True, bec2=True)]
+    events = {e.kind: e.t for e in detect_events(pts, bec_threshold=1.5)}
+    assert events == {"bec1": pytest.approx(0.5, rel=1e-12),
+                      "bec2": pytest.approx(1.5, rel=1e-12)}
+    assert {e.kind: e.t for e in detect_events(pts)} == {"bec1": 1.0,
+                                                        "bec2": 2.0}
+    assert region_from_events(pts, 1.5) is Region.DUAL_BUFFER_FIRST
+    assert region_of_events(detect_events(pts, 1.5)) \
+        is Region.DUAL_BUFFER_FIRST
