@@ -22,7 +22,6 @@ import re
 import sys
 import time
 from dataclasses import asdict, fields, replace
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -73,9 +72,13 @@ def _line(raw: str, where: str, key: str | None = None) -> int:
     """1-based line of "key" in the section `where` ("config.species[1]"):
     each name on the path is looked for after its parent, item i of an
     array at its (i+1)-th "{"; an absent name leaves the parent's line."""
+    names = where.split(".")[1:]
+    if key is not None:
+        names.append(key)
     pos = 0
-    for name in where.split(".")[1:] + ([key] if key else []):
+    for name in names:
         base, _, index = name.partition("[")
+        # max(): a name that is not found leaves pos where it was
         pos = max(raw.find(f'"{base}"', pos), pos)
         for _ in range(int(index[:-1]) + 1 if index else 0):
             pos = max(raw.find("{", pos + 1), pos)
@@ -95,12 +98,17 @@ def _load_config(path) -> tuple[dict, str]:
     return cfg, raw
 
 
+def _is_finite_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def _problem(row: _Key, v) -> str | None:
     """Why value v does not fit its schema row, or None."""
     if row.kind == "numbers":
-        ok = isinstance(v, list) and all(_problem(_Key("", ""), x) is None
-                                         for x in v)
-        return None if ok else "must be an array of finite numbers"
+        if isinstance(v, list) and all(_is_finite_number(x) for x in v):
+            return None
+        return "must be an array of finite numbers"
     if not isinstance(v, _TYPES[row.kind]) \
             or isinstance(v, bool) != (row.kind == "bool"):
         return f"must be a {row.kind}"
@@ -116,7 +124,8 @@ def _read(obj, schema, raw: str, where: str, known=None) -> dict:
     schema; `known` widens the set of accepted keys."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object", line=_line(raw, where))
-    unknown = [k for k in obj if k not in {r.key for r in known or schema}]
+    accepted = {row.key for row in (known or schema)}
+    unknown = [k for k in obj if k not in accepted]
     if unknown:
         raise ConfigError(f"unknown key '{unknown[0]}' in {where}",
                           line=_line(raw, where, unknown[0]))
@@ -137,7 +146,9 @@ def _read(obj, schema, raw: str, where: str, known=None) -> dict:
                                   line=_line(raw, where, row.key))
             if row.kind == "numbers":
                 v = tuple(float(x) for x in v)
-        kw[row.field] = v if row.unit is None else v * row.unit
+        if row.unit is not None:
+            v = v * row.unit
+        kw[row.field] = v
     return kw
 
 
@@ -147,10 +158,13 @@ def _build(ctor, kw: dict, raw: str, where: str, schema, obj: dict):
     try:
         return ctor(**kw)
     except DomainError as exc:
-        named = sorted((m.start(), row.key) for row in schema if row.key in obj
-                       and (m := re.search(rf"\b{row.field}\b", str(exc))))
-        raise ConfigError(f"{where}: {exc}", line=_line(
-            raw, where, named[0][1] if named else None))
+        message = str(exc)
+        key, first = None, len(message)
+        for row in schema:
+            m = re.search(rf"\b{row.field}\b", message)
+            if row.key in obj and m and m.start() < first:
+                key, first = row.key, m.start()
+        raise ConfigError(f"{where}: {message}", line=_line(raw, where, key))
 
 
 def _jsonable(x):
@@ -160,9 +174,14 @@ def _jsonable(x):
 
 # ------------------------------------------------------------- file writers
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n", encoding="utf-8")
+def _json_text(name: str, obj) -> str:
+    """Strict JSON text of one output file.  A NaN or infinity reaching
+    this point is a fault of the program: reported, never written."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SympcoolError(f"cannot write {name}: {exc}")
 
 
 def _cell(c, as_json: bool):
@@ -173,20 +192,25 @@ def _cell(c, as_json: bool):
     return _jsonable(float(c)) if as_json else repr(float(c))
 
 
-_GNUPLOT = ("set datafile separator ','\nset key autotitle columnhead\n"
-            "set logscale {}\nset xlabel '{}'\nset ylabel '{}'\nplot {}\n")
-
-
-def _write_table(path: Path, header, rows) -> None:
+def _table_text(name: str, header, rows) -> str:
     """One table as CSV (floats by repr, booleans 0/1) or, by the file
     suffix, as a JSON list of row objects (NaN and infinities null)."""
-    if path.suffix == ".json":
-        _write_json(path, [{h: _cell(c, True) for h, c in zip(header, row)}
-                           for row in rows])
-    else:
-        lines = [header] + [[_cell(c, False) for c in row] for row in rows]
-        path.write_text("".join(",".join(line) + "\n" for line in lines),
-                        encoding="utf-8")
+    if name.endswith(".json"):
+        return _json_text(name, [
+            {h: _cell(c, True) for h, c in zip(header, row)} for row in rows])
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell(c, False) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def _gnuplot(logscale: str, xlabel: str, ylabel: str, plot: str) -> str:
+    return ("set datafile separator ','\n"
+            "set key autotitle columnhead\n"
+            f"set logscale {logscale}\n"
+            f"set xlabel '{xlabel}'\n"
+            f"set ylabel '{ylabel}'\n"
+            f"plot {plot}\n")
 
 
 # ------------------------------------------------------------ config schemas
@@ -201,9 +225,11 @@ _SPECIES = (
     _Key("sigma_self_m2", "sigma_self", default=0.0),
     _Key("sigma_cross_m2", "sigma_cross", default=0.0))
 
-_FREQS = tuple(_Key(f"omega_{a}_rad_per_s", f"omega_{a}", positive=True)
-               for a in "xyz") + (
-    _Key("gravity_m_per_s2", "gravity", default=None),)
+_FREQS = (
+    _Key("omega_x_rad_per_s", "omega_x", positive=True),
+    _Key("omega_y_rad_per_s", "omega_y", positive=True),
+    _Key("omega_z_rad_per_s", "omega_z", positive=True),
+    _Key("gravity_m_per_s2", "gravity", default=None))
 
 _STATE = (
     _Key("N1", "N1", positive=True), _Key("N2", "N2", positive=True),
@@ -301,23 +327,26 @@ def _evaporation_from(obj, raw: str, where: str):
 
 def _cmd_trap(args, cfg: dict, raw: str) -> dict:
     kw = _read(cfg, _TRAP, raw, "config")
-    buffer, target = (_species_from(kw.pop(role["label"]), raw,
-                                    f"config.{role['label']}", role)
-                      for role in _ROLES)
+    buffer = _species_from(kw.pop("buffer"), raw, "config.buffer", _ROLES[0])
+    target = _species_from(kw.pop("target"), raw, "config.target", _ROLES[1])
     trap = _build(TrapConfig, kw, raw, "config", _TRAP, cfg)
-    f1, f2 = (trap_frequencies(sp, trap) for sp in (buffer, target))
-    b1, b2 = ({**{f"omega_{a}_rad_per_s": getattr(f, f"omega_{a}")
-                  for a in ("x", "y", "z", "bar")},
-               "sag_um": f.sag / MICROMETER} for f in (f1, f2))
+    f1 = trap_frequencies(buffer, trap)
+    f2 = trap_frequencies(target, trap)
     return {"trap_frequencies.json": {
-                "buffer": b1, "target": b2,
+                "buffer": _trap_block(f1), "target": _trap_block(f2),
                 "delta_um": (f1.sag - f2.sag) / MICROMETER},
             "constants.json": constants_table()}
 
 
+def _trap_block(f: TrapFrequencies) -> dict:
+    return {"omega_x_rad_per_s": f.omega_x, "omega_y_rad_per_s": f.omega_y,
+            "omega_z_rad_per_s": f.omega_z,
+            "omega_bar_rad_per_s": f.omega_bar, "sag_um": f.sag / MICROMETER}
+
+
 def _cmd_budget(args, cfg: dict, raw: str) -> dict:
-    params = _build(BudgetParams, _read(cfg, _BUDGET, raw, "config"), raw,
-                    "config", _BUDGET, cfg)
+    kw = _read(cfg, _BUDGET, raw, "config")
+    params = _build(BudgetParams, kw, raw, "config", _BUDGET, cfg)
     outcome = classify(params.N2, params)
     try:
         n2a, n2b, n2c = critical_numbers(params)
@@ -350,13 +379,14 @@ def _cmd_phase_diagram(args, cfg: dict, raw: str) -> dict:
     n2_grid = np.geomspace(args.n2_min, args.n2_max, args.n2_points)
     table = phase_diagram(eta_grid, n2_grid, trap_ratio=args.ratio)
     header = ["eta", "n2_over_n2c", "region", "d1max", "d2max", "dequal"]
+    rows = [[r[k] for k in header] for r in table["rows"]]
+    boundaries = [{k: _jsonable(v) for k, v in b.items()}
+                  for b in table["boundaries"]]
     name = f"{args.stem}.{args.format}"
-    files = {name: (header, [[r[k] for k in header] for r in table["rows"]]),
-             f"{args.stem}_boundaries.json": [
-                 {k: _jsonable(v) for k, v in b.items()}
-                 for b in table["boundaries"]]}
+    files = {name: (header, rows),
+             f"{args.stem}_boundaries.json": boundaries}
     if args.plot_script:
-        files[f"{args.stem}.gp"] = _GNUPLOT.format(
+        files[f"{args.stem}.gp"] = _gnuplot(
             "xy", "N2 / N2_c", "peak phase-space density",
             f"'{name}' using 2:4 with points, '' using 2:5 with points")
     return files
@@ -373,7 +403,8 @@ def _rates(s: TwoGasState) -> list:
 
 def _cmd_contact(args, cfg: dict, raw: str) -> dict:
     state = _state_from(cfg, raw, "config")
-    (rx, ry, rz), (overlap, gamma, w, rate) = rms_sizes(state), _rates(state)
+    rx, ry, rz = rms_sizes(state)
+    overlap, gamma, w, rate = _rates(state)
     files = {"contact_summary.json": {
         "rho_x_um": rx / MICROMETER, "rho_y_um": ry / MICROMETER,
         "rho_z_um": rz / MICROMETER, "delta_um": state.delta / MICROMETER,
@@ -386,16 +417,21 @@ def _cmd_contact(args, cfg: dict, raw: str) -> dict:
             raise ConfigError("--sweep must be VAR:START:STOP:COUNT with "
                               f"VAR in {_SWEEP_FIELDS}")
         try:
-            (start, stop), count = map(float, parts[:2]), int(parts[2])
+            start = float(parts[0])
+            stop = float(parts[1])
+            count = int(parts[2])
         except ValueError:
             raise ConfigError("--sweep START/STOP/COUNT must be numeric")
         if count < 2 or not math.isfinite(start) or not math.isfinite(stop):
             raise ConfigError("--sweep needs finite START/STOP and COUNT >= 2")
         rows = []
         for v in np.linspace(start, stop, count):
+            if var == "T":
+                changes = {"T1": float(v), "T2": float(v)}
+            else:
+                changes = {var: float(v)}
             try:
-                s = replace(state, **dict.fromkeys(
-                    ("T1", "T2") if var == "T" else (var,), float(v)))
+                s = replace(state, **changes)
             except DomainError as exc:
                 raise ConfigError(f"--sweep value {v!r}: {exc}")
             rows.append([v, rms_sizes(s)[2], *_rates(s)])
@@ -415,23 +451,25 @@ def _cmd_traj(args, cfg: dict, raw: str) -> dict:
     events = detect_events(points, traj_cfg.bec_threshold)
     header = [f.name for f in fields(TrajectoryPoint)]
     name = f"traj.{args.format}"
-    energy = dict.fromkeys(("energy_removed_J", "energy_total_final_J",
-                            "max_drift_J"))
+    energy = {"energy_removed_J": None, "energy_total_final_J": None,
+              "max_drift_J": None}
     if audit["E_removed"] is not None:
         # E_total tracks E_total[0] + E_removed (signed change); any gap
         # is integrator drift
         removed = np.asarray(audit["E_removed"])
         total = np.asarray(audit["E_total"])
         drift = np.max(np.abs(total - total[0] - removed))
-        energy = dict(zip(energy, map(float, (-removed[-1], total[-1],
-                                              drift))))
-    files = {name: (header, list(map(attrgetter(*header), points))),
+        energy = {"energy_removed_J": float(-removed[-1]),
+                  "energy_total_final_J": float(total[-1]),
+                  "max_drift_J": float(drift)}
+    rows = [[getattr(p, h) for h in header] for p in points]
+    files = {name: (header, rows),
              "traj_events.json": {
                  "region": region_of_events(events).value,
                  "events": [asdict(e) for e in events],
                  "energy_audit": energy}}
     if args.plot_script:
-        files["traj.gp"] = _GNUPLOT.format(
+        files["traj.gp"] = _gnuplot(
             "y", "t [s]", "T [K]",
             f"'{name}' using 1:3 with lines, '' using 1:4 with lines")
     return files
@@ -444,7 +482,8 @@ def _cmd_dsmc(args, cfg: dict, raw: str) -> dict:
     if len(species) not in (1, 2) or len(traps) != len(species):
         raise ConfigError("need 1 or 2 species with matching traps",
                           line=_line(raw, "config", "species"))
-    seed = args.seed = kw["rng_seed"]
+    seed = kw["rng_seed"]
+    args.seed = seed
     # the sampling generator below is keyed by the 64-bit words [seed, 1]
     if not 0 <= seed < 1 << 64:
         raise ConfigError(
@@ -565,27 +604,38 @@ def main(argv=None) -> int:
     try:
         # phase-diagram --out may name the table file; its stem then names
         # the sidecars and its suffix the format
-        outdir, args.stem = Path(args.out), args.cmd.replace("-", "_")
+        outdir = Path(args.out)
+        args.stem = args.cmd.replace("-", "_")
         if args.config is None and outdir.suffix in (".csv", ".json"):
-            outdir, args.stem, args.format = \
-                outdir.parent, outdir.stem, outdir.suffix[1:]
-        cfg, raw = (_load_config(args.config) if args.config is not None
-                    else ({k: getattr(args, k) for k in _GRID_FLAGS}, ""))
+            args.stem = outdir.stem
+            args.format = outdir.suffix[1:]
+            outdir = outdir.parent
+        if args.config is not None:
+            cfg, raw = _load_config(args.config)
+        else:
+            cfg, raw = {k: getattr(args, k) for k in _GRID_FLAGS}, ""
         files = args.func(args, cfg, raw)
-        outdir.mkdir(parents=True, exist_ok=True)
+
+        # every file is rendered before the first is written, so a run
+        # that fails leaves no partial output behind
+        texts = {}
         for name, content in files.items():
             if isinstance(content, str):
-                (outdir / name).write_text(content, encoding="utf-8")
+                texts[name] = content
             elif isinstance(content, tuple):
-                _write_table(outdir / name, *content)
+                texts[name] = _table_text(name, *content)
             else:
-                _write_json(outdir / name, content)
+                texts[name] = _json_text(name, content)
         canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-        _write_json(outdir / f"{args.stem}_manifest.json", {
+        manifest = f"{args.stem}_manifest.json"
+        texts[manifest] = _json_text(manifest, {
             "command": "sympcool " + " ".join(argv), "config": cfg,
             "config_digest": hashlib.sha256(canonical.encode()).hexdigest(),
             "tool_version": __version__, "seed": args.seed or 0,
             "outputs": list(files), "wall_time": time.perf_counter() - t0})
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (outdir / name).write_text(text, encoding="utf-8")
         return 0
     except ConfigError as exc:
         where = f" (line {exc.line})" if exc.line else ""

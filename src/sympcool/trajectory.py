@@ -406,11 +406,10 @@ def detect_events(points: Sequence[TrajectoryPoint],
     return events
 
 
-def region_from_events(points: Sequence[TrajectoryPoint],
-                       bec_threshold: float = BEC_THRESHOLD) -> Region:
+def region_from_events(points: Sequence[TrajectoryPoint]) -> Region:
     """Regime label of a full-ramp trajectory: region_of_events applied to
-    detect_events(points, bec_threshold)."""
-    return region_of_events(detect_events(points, bec_threshold))
+    detect_events(points)."""
+    return region_of_events(detect_events(points))
 
 
 def region_of_events(events: Sequence[TrajectoryEvent]) -> Region:

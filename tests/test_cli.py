@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from sympcool import MASS_RB87, constants_table
 from sympcool.cli import main
 from sympcool.constants import K_B
+from sympcool.errors import SympcoolError
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::sympcool.errors.CellUnderflowWarning")
@@ -726,10 +727,25 @@ def test_budget_rejects_non_finite_values(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-def test_json_writer_refuses_non_finite(tmp_path):
-    from sympcool.cli import _write_json
-    with pytest.raises(ValueError):
-        _write_json(tmp_path / "x.json", {"t_min_nK": math.nan})
+def test_json_writer_refuses_non_finite():
+    from sympcool.cli import _json_text
+    with pytest.raises(SympcoolError, match="budget_outcome.json"):
+        _json_text("budget_outcome.json", {"t_min_nK": math.nan})
+
+
+def test_non_finite_result_is_runtime_error(tmp_path, capsys, monkeypatch):
+    """A NaN that reaches an output is reported with exit 1, and no file
+    is written, not even the ones rendered before it."""
+    from sympcool import cli
+    monkeypatch.setattr(cli, "_rates",
+                        lambda s: [math.nan, 1.0, 1.0, 1.0])
+    cfg, _ = contact_state(tmp_path)
+    out = tmp_path / "out"
+    assert main(["contact", "--state", cfg, "--out", str(out),
+                 "--sweep", "delta:0:5:3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sympcool: error: cannot write contact_")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--eta-max", "--n2-min", "--ratio"])

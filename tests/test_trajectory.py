@@ -21,13 +21,13 @@ from sympcool import (
     detect_events,
     interspecies_thermalization_rate,
     region_from_events,
-    region_of_events,
     rms_sizes,
     simulate,
     simulate_with_audit,
     single_species_collision_rate,
 )
 from sympcool.errors import DomainError
+from sympcool.trajectory import region_of_events
 
 SIG = 1.4e-15
 F0 = TrapFrequencies.from_axes(2 * math.pi * 80, 2 * math.pi * 100,
@@ -376,6 +376,5 @@ def test_detect_events_configured_threshold():
                       "bec2": pytest.approx(1.5, rel=1e-12)}
     assert {e.kind: e.t for e in detect_events(pts)} == {"bec1": 1.0,
                                                         "bec2": 2.0}
-    assert region_from_events(pts, 1.5) is Region.DUAL_BUFFER_FIRST
     assert region_of_events(detect_events(pts, 1.5)) \
         is Region.DUAL_BUFFER_FIRST
