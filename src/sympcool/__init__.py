@@ -14,8 +14,7 @@ from .budget import (BudgetParams, CoolingOutcome, Region, buffer_psd_max,
                      phase_diagram, phase_space_density, psd_curves,
                      target_psd_max, temperature_of)
 from .constants import (AMU, BEC_THRESHOLD, HBAR, K_B, MASS_LI6, MASS_RB87,
-                        MU_B, PSD_PREFACTOR, constants_table,
-                        write_constants_json)
+                        MU_B, PSD_PREFACTOR, constants_table)
 from .contact import (TwoGasState, energy_exchange_rate, equivalent_mass,
                       interspecies_collision_rate,
                       interspecies_thermalization_rate, overlap_factor,
@@ -28,7 +27,7 @@ from .errors import (AntiTrapped, CellUnderflowWarning, ConfigError,
                      DomainError, InsufficientDecay, NoInteriorPeak,
                      RadialUnconfined, StepFailure, SympcoolError)
 from .physics import (SpeciesState, TrapConfig, TrapFrequencies,
-                      relative_sag, trap_frequencies)
+                      trap_frequencies)
 from .trajectory import (RampDriven, RateDriven, TrajectoryConfig,
                          TrajectoryEvent, TrajectoryPoint, detect_events,
                          region_from_events, simulate, simulate_with_audit)
@@ -50,8 +49,8 @@ __all__ = [
     "interspecies_collision_rate", "interspecies_thermalization_rate",
     "kinetic_temperature", "overlap_factor", "phase_diagram",
     "phase_space_density", "psd_curves", "region_from_events",
-    "relative_sag", "rms_sizes", "run", "sample_equilibrium", "simulate",
+    "rms_sizes", "run", "sample_equilibrium", "simulate",
     "simulate_with_audit", "single_species_collision_rate",
     "target_psd_max", "temperature_of", "total_energy",
-    "transfer_efficiency", "trap_frequencies", "write_constants_json",
+    "transfer_efficiency", "trap_frequencies",
 ]

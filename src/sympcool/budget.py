@@ -71,6 +71,10 @@ class BudgetParams:
     psd_prefactor: float = PSD_PREFACTOR
 
     def __post_init__(self):
+        for name in ("eta", "N1_ini", "N2", "T_ini", "omega1_bar",
+                     "omega2_bar", "psd_prefactor"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.eta <= 2:
             raise DomainError("eta must exceed 2 (alpha > 0)")
         if not (self.N1_ini > self.N2 > 0):

@@ -38,7 +38,7 @@ from .contact import (TwoGasState, energy_exchange_rate,
 from .dsmc import DsmcConfig, fit_relaxation, sample_equilibrium
 from .dsmc import run as dsmc_run
 from .errors import (ConfigError, DomainError, InsufficientDecay,
-                     NoInteriorPeak, SympcoolError)
+                     NoInteriorPeak, RadialUnconfined, SympcoolError)
 from .physics import SpeciesState, TrapConfig, TrapFrequencies, \
     trap_frequencies
 from .trajectory import (RampDriven, RateDriven, TrajectoryConfig,
@@ -330,8 +330,12 @@ def _cmd_trap(args, cfg: dict, raw: str) -> dict:
     buffer = _species_from(kw.pop("buffer"), raw, "config.buffer", _ROLES[0])
     target = _species_from(kw.pop("target"), raw, "config.target", _ROLES[1])
     trap = _build(TrapConfig, kw, raw, "config", _TRAP, cfg)
-    f1 = trap_frequencies(buffer, trap)
-    f2 = trap_frequencies(target, trap)
+    try:
+        f1 = trap_frequencies(buffer, trap)
+        f2 = trap_frequencies(target, trap)
+    except RadialUnconfined as exc:
+        raise ConfigError(f"config: {exc}",
+                          line=_line(raw, "config", "G_kG_per_cm"))
     return {"trap_frequencies.json": {
                 "buffer": _trap_block(f1), "target": _trap_block(f2),
                 "delta_um": (f1.sag - f2.sag) / MICROMETER},

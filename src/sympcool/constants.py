@@ -8,8 +8,6 @@ the only place unit-suffixed config values are touched.
 
 from __future__ import annotations
 
-import json
-
 K_B = 1.380649e-23          # J/K, Boltzmann constant (exact)
 HBAR = 1.054571817e-34      # J s, reduced Planck constant
 H_PLANCK = 6.62607015e-34   # J s (exact)
@@ -55,9 +53,3 @@ def constants_table() -> dict:
     """Return the frozen constants table (value/unit/source per entry)."""
     return {k: dict(v) for k, v in _TABLE.items()}
 
-
-def write_constants_json(path: str) -> None:
-    """Dump the constants table to ``path`` as indented JSON, for audit."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(constants_table(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

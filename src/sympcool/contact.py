@@ -31,6 +31,9 @@ from .constants import K_B
 from .errors import DomainError
 from .physics import TrapFrequencies
 
+_PI2 = math.pi ** 2
+_TWO_PI2_KB = 2.0 * math.pi ** 2 * K_B
+
 
 @dataclass(frozen=True)
 class TwoGasState:
@@ -52,6 +55,9 @@ class TwoGasState:
     delta: float           # m
 
     def __post_init__(self):
+        for name in ("N1", "N2", "T1", "T2", "M1", "M2", "sigma12", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.N1 <= 0 or self.N2 <= 0:
             raise DomainError("atom numbers must be positive")
         if self.T1 <= 0 or self.T2 <= 0:
@@ -68,28 +74,53 @@ class TwoGasState:
                    sigma12=sigma12, delta=f1.sag - f2.sag)
 
 
+def _stiffness(s: TwoGasState) -> tuple:
+    """Per-axis pairs (M1 w1a^2, M2 w2a^2): the trap terms of the pair
+    density, fixed while N and T change."""
+    f1, f2 = s.f1, s.f2
+    return ((s.M1 * f1.omega_x ** 2, s.M2 * f2.omega_x ** 2),
+            (s.M1 * f1.omega_y ** 2, s.M2 * f2.omega_y ** 2),
+            (s.M1 * f1.omega_z ** 2, s.M2 * f2.omega_z ** 2))
+
+
+def _pair_rates(N1, N2, T1, T2, M1, M2, stiffness, sigma12, delta2):
+    """((rho_x, rho_y, rho_z), overlap, Gamma) of two Gaussian clouds from
+    the trap terms _stiffness and delta2 = delta^2.
+
+    rho_a^2 = k_B T1/(M1 w1a^2) + k_B T2/(M2 w2a^2), the overlap factor is
+    exp(-delta^2 / (2 rho_z^2)), and Gamma is the cross-collision rate of
+    the module docstring.
+    """
+    kt1 = K_B * T1
+    kt2 = K_B * T2
+    (x1, x2), (y1, y2), (z1, z2) = stiffness
+    rx = math.sqrt(kt1 / x1 + kt2 / x2)
+    ry = math.sqrt(kt1 / y1 + kt2 / y2)
+    rz = math.sqrt(kt1 / z1 + kt2 / z2)
+    overlap = math.exp(-delta2 / (2.0 * rz ** 2))
+    v = math.sqrt(kt1 / M1 + kt2 / M2)
+    gamma = N1 * N2 / (_PI2 * rx * ry * rz) * sigma12 * v * overlap
+    return (rx, ry, rz), overlap, gamma
+
+
+def _rates_of(s: TwoGasState):
+    return _pair_rates(s.N1, s.N2, s.T1, s.T2, s.M1, s.M2, _stiffness(s),
+                       s.sigma12, s.delta ** 2)
+
+
 def rms_sizes(s: TwoGasState) -> tuple[float, float, float]:
     """Combined rms widths (rho_x, rho_y, rho_z) of the pair density."""
-    def rho(w1, w2):
-        return math.sqrt(K_B * s.T1 / (s.M1 * w1 ** 2)
-                         + K_B * s.T2 / (s.M2 * w2 ** 2))
-    return (rho(s.f1.omega_x, s.f2.omega_x),
-            rho(s.f1.omega_y, s.f2.omega_y),
-            rho(s.f1.omega_z, s.f2.omega_z))
+    return _rates_of(s)[0]
 
 
 def overlap_factor(s: TwoGasState) -> float:
     """Gaussian suppression exp(-delta^2 / (2 rho_z^2)) of the cross rate."""
-    rho_z = rms_sizes(s)[2]
-    return math.exp(-s.delta ** 2 / (2.0 * rho_z ** 2))
+    return _rates_of(s)[1]
 
 
 def interspecies_collision_rate(s: TwoGasState) -> float:
     """Total cross-collision rate Gamma [1/s] between the two clouds."""
-    rx, ry, rz = rms_sizes(s)
-    v = math.sqrt(K_B * s.T1 / s.M1 + K_B * s.T2 / s.M2)
-    return (s.N1 * s.N2 / (math.pi ** 2 * rx * ry * rz) * s.sigma12 * v
-            * math.exp(-s.delta ** 2 / (2.0 * rz ** 2)))
+    return _rates_of(s)[2]
 
 
 def energy_exchange_rate(s: TwoGasState) -> float:
@@ -149,4 +180,9 @@ def single_species_collision_rate(N: float, T: float, omega_bar: float,
         raise DomainError("N, T, omega_bar and mass must be positive")
     if sigma < 0:
         raise DomainError("sigma must be >= 0")
-    return N * omega_bar ** 3 * sigma * mass / (2.0 * math.pi ** 2 * K_B * T)
+    return _self_rate(N, T, omega_bar ** 3, sigma, mass)
+
+
+def _self_rate(N, T, omega_bar3, sigma, mass):
+    """single_species_collision_rate from omega_bar^3, unchecked."""
+    return N * omega_bar3 * sigma * mass / (_TWO_PI2_KB * T)

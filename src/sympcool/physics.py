@@ -18,6 +18,7 @@ different heights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import G_STANDARD, MU_B
@@ -40,6 +41,9 @@ class SpeciesState:
     sigma_cross: float     # m^2, elastic cross section against the partner
 
     def __post_init__(self):
+        for name in ("mass", "sigma_self", "sigma_cross"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{self.label}: {name} must be finite")
         if self.mass <= 0:
             raise DomainError(f"{self.label}: mass must be positive")
         if self.sigma_self < 0 or self.sigma_cross < 0:
@@ -67,6 +71,9 @@ class TrapConfig:
     gravity: float = G_STANDARD
 
     def __post_init__(self):
+        for name in ("B0", "G", "C", "gravity"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.B0 <= 0:
             raise DomainError("B0 must be positive")
         if self.G <= 0 or self.C <= 0:
@@ -90,6 +97,8 @@ class TrapFrequencies:
     @classmethod
     def from_axes(cls, omega_x: float, omega_y: float, omega_z: float,
                   gravity: float = G_STANDARD) -> "TrapFrequencies":
+        if not all(map(math.isfinite, (omega_x, omega_y, omega_z, gravity))):
+            raise DomainError("trap frequencies and gravity must be finite")
         if min(omega_x, omega_y, omega_z) <= 0:
             raise DomainError("all trap frequencies must be positive")
         return cls(
@@ -119,12 +128,3 @@ def trap_frequencies(species: SpeciesState, trap: TrapConfig) -> TrapFrequencies
     omega_x = (scale * trap.C) ** 0.5
     return TrapFrequencies.from_axes(omega_x, omega_z, omega_z,
                                      gravity=trap.gravity)
-
-
-def relative_sag(f_buffer: TrapFrequencies, f_target: TrapFrequencies) -> float:
-    """Vertical distance between the two cloud centres [m].
-
-    Positive when the buffer (first argument) hangs lower, i.e. when its
-    vertical confinement is the softer one.
-    """
-    return f_buffer.sag - f_target.sag

@@ -21,18 +21,18 @@ removing atoms.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .budget import BudgetParams, Region, phase_space_density, temperature_of
-from .constants import BEC_THRESHOLD, K_B, PSD_PREFACTOR
-from .contact import (TwoGasState, energy_exchange_rate,
-                      interspecies_collision_rate, overlap_factor,
-                      single_species_collision_rate, transfer_efficiency)
+from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
+from .contact import (TwoGasState, _pair_rates, _self_rate, _stiffness,
+                      transfer_efficiency)
 from .errors import DomainError, StepFailure
 
 N1_FLOOR = 1.0          # atoms; the ramp terminates cleanly at this floor
@@ -51,8 +51,12 @@ class RateDriven:
     sigma_self: float | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.prefactor):
+            raise DomainError("evaporation prefactor must be finite")
         if self.prefactor <= 0:
             raise DomainError("evaporation prefactor must be positive")
+        if self.sigma_self is not None and not math.isfinite(self.sigma_self):
+            raise DomainError("sigma_self must be finite when given")
         if self.sigma_self is not None and self.sigma_self <= 0:
             raise DomainError("sigma_self must be positive when given")
 
@@ -74,6 +78,8 @@ class RampDriven:
         n = np.asarray(self.numbers, dtype=float)
         if t.size < 2 or t.size != n.size:
             raise DomainError("ramp needs >= 2 (time, N1) knots")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(n))):
+            raise DomainError("ramp times and numbers must be finite")
         if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise DomainError("ramp times must increase from 0")
         if np.any(np.diff(n) > 0) or np.any(n < 0):
@@ -83,11 +89,9 @@ class RampDriven:
         return float(np.interp(t, self.times, self.numbers))
 
     def slope(self, t: float) -> float:
-        ts = np.asarray(self.times)
-        if t >= ts[-1]:
+        if t >= self.times[-1]:
             return 0.0
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = max(i, 0)
+        i = max(bisect.bisect_right(self.times, t) - 1, 0)
         dt = self.times[i + 1] - self.times[i]
         return (self.numbers[i + 1] - self.numbers[i]) / dt
 
@@ -108,6 +112,10 @@ class TrajectoryConfig:
     stop_at_threshold: bool = False       # keep integrating past a BEC flag
 
     def __post_init__(self):
+        for name in ("eta", "t_end", "dt_max", "bec_threshold",
+                     "psd_prefactor"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.eta <= 2:
             raise DomainError("eta must exceed 2")
         if self.t_end <= 0 or self.dt_max <= 0:
@@ -150,20 +158,113 @@ class TrajectoryEvent:
     T2: float
 
 
-def _state_at(cfg: TrajectoryConfig, N1: float, T1: float, T2: float) -> TwoGasState:
-    s = cfg.initial
-    return replace(s, N1=max(N1, 1e-9), T1=T1, T2=T2)
+def _psd(N: float, T: float, hbar_omega: float) -> float:
+    """phase_space_density for one float N and T, given HBAR * omega_bar.
+
+    float ** 3 rounds through libm pow as numpy's scalar power does, so the
+    bits match phase_space_density on scalars; numpy's array power (SIMD)
+    differs in the last bit on some inputs, so this stays a scalar loop.
+    """
+    if T <= 0:
+        raise DomainError("T must be positive")
+    return N * (hbar_omega / (K_B * T)) ** 3
 
 
-def _ndot(cfg: TrajectoryConfig, t: float, N1: float, T1: float) -> float:
-    m = cfg.evaporation_model
-    if isinstance(m, RampDriven):
-        return m.slope(t)
-    sigma1 = m.sigma_self if m.sigma_self is not None else cfg.initial.sigma12
-    gamma1 = single_species_collision_rate(max(N1, N1_FLOOR), T1,
-                                           cfg.initial.f1.omega_bar,
-                                           sigma1, cfg.initial.M1)
-    return -m.prefactor * gamma1 * math.exp(-cfg.eta) * N1
+class _Model:
+    """The per-config constants of one trajectory, computed once, and the
+    functions the integrator and the point builder evaluate on them.
+
+    Every expression keeps the evaluation order of the contact and budget
+    functions it stands for, so each float is bit-identical to theirs.
+    """
+
+    def __init__(self, cfg: TrajectoryConfig):
+        s = cfg.initial
+        self.N2 = s.N2
+        self.M1, self.M2 = s.M1, s.M2
+        self.sigma12 = s.sigma12
+        self.stiffness = _stiffness(s)          # M_i omega_ia^2 per axis
+        self.delta2 = s.delta ** 2
+        self.hbar_omega1 = HBAR * s.f1.omega_bar
+        self.hbar_omega2 = HBAR * s.f2.omega_bar
+        self.xi = transfer_efficiency(s.M1, s.M2)
+        self.eta_m2 = cfg.eta - 2.0
+        self.eta_p1 = cfg.eta + 1.0
+        self.three_n2_kb = 3.0 * s.N2 * K_B
+        self.psd_prefactor = cfg.psd_prefactor
+        self.latch = cfg.bec_threshold * (1.0 - 1e-12)
+        m = cfg.evaporation_model
+        if isinstance(m, RampDriven):
+            self.ramp = m
+            self.ndot = self._ramp_ndot
+        else:
+            self.sigma1 = (m.sigma_self if m.sigma_self is not None
+                           else s.sigma12)
+            self.omega1_bar3 = s.f1.omega_bar ** 3
+            self.neg_prefactor = -m.prefactor
+            self.exp_eta = math.exp(-cfg.eta)
+            self.ndot = self._rate_ndot
+
+    def _ramp_ndot(self, t, N1, T1):
+        return self.ramp.slope(t)
+
+    def _rate_ndot(self, t, N1, T1):
+        """-prefactor * gamma1 * exp(-eta) * N1."""
+        if T1 <= 0:
+            raise DomainError("N, T, omega_bar and mass must be positive")
+        gamma1 = _self_rate(max(N1, N1_FLOOR), T1, self.omega1_bar3,
+                            self.sigma1, self.M1)
+        return self.neg_prefactor * gamma1 * self.exp_eta * N1
+
+    def rhs(self, t, y):
+        """Finite-contact derivatives of (N1, T1, T2, E_removed)."""
+        n1, t1, t2, _ = y.tolist()
+        n1 = max(n1, N1_FLOOR)
+        nd = self.ndot(t, n1, t1)
+        if t1 <= 0 or t2 <= 0:
+            raise DomainError("temperatures must be positive")
+        gamma = _pair_rates(n1, self.N2, t1, t2, self.M1, self.M2,
+                            self.stiffness, self.sigma12, self.delta2)[2]
+        # energy_exchange_rate: W = k_B (T2 - T1) Gamma
+        w = self.xi * (K_B * (t2 - t1) * gamma)
+        dT1 = self.eta_m2 * t1 * nd / (3.0 * n1) + w / (3.0 * n1 * K_B)
+        dT2 = -w / self.three_n2_kb
+        return (nd, dT1, dT2, nd * self.eta_p1 * K_B * t1)
+
+    def d1(self, N1, T1):
+        return self.psd_prefactor * _psd(N1, T1, self.hbar_omega1)
+
+    def d2(self, T2):
+        return self.psd_prefactor * _psd(self.N2, T2, self.hbar_omega2)
+
+    def ndots(self, ts, n1s, T1s) -> np.ndarray:
+        return np.array([self.ndot(t, n1, t1) for t, n1, t1
+                         in zip(ts.tolist(), n1s.tolist(), T1s.tolist())])
+
+    def points(self, ts, N1s, T1s, T2s, ndots) -> list[TrajectoryPoint]:
+        """Latched trajectory points from sampled arrays."""
+        pts: list[TrajectoryPoint] = []
+        stalled = bec1 = bec2 = False
+        for t, n1, t1, t2, nd in zip(ts.tolist(), N1s.tolist(), T1s.tolist(),
+                                     T2s.tolist(), ndots.tolist()):
+            if t1 <= 0 or t2 <= 0:
+                raise DomainError("temperatures must be positive")
+            _, ov, gamma = _pair_rates(max(n1, 1e-9), self.N2, t1, t2,
+                                       self.M1, self.M2, self.stiffness,
+                                       self.sigma12, self.delta2)
+            gamma = gamma if n1 > 0 else 0.0
+            d1 = self.d1(max(n1, 0.0), t1)
+            d2 = self.d2(t2)
+            # the guard keeps the latch robust when a terminal stop event
+            # lands a float ulp below the threshold it just located
+            bec1 = bec1 or d1 >= self.latch
+            bec2 = bec2 or d2 >= self.latch
+            stalled = stalled or (ov < STALL_OVERLAP and nd < 0)
+            pts.append(TrajectoryPoint(t=t, N1=n1, T1=t1, T2=t2, D1=d1,
+                                       D2=d2, Gamma=gamma, overlap=ov,
+                                       stalled=stalled, bec1=bec1,
+                                       bec2=bec2))
+        return pts
 
 
 def _budget_params(cfg: TrajectoryConfig) -> BudgetParams:
@@ -173,50 +274,20 @@ def _budget_params(cfg: TrajectoryConfig) -> BudgetParams:
                         psd_prefactor=cfg.psd_prefactor)
 
 
-def _assemble(cfg: TrajectoryConfig, ts, N1s, T1s, T2s,
-              ndots) -> list[TrajectoryPoint]:
-    """Build latched trajectory points from sampled arrays."""
-    s0 = cfg.initial
-    pts: list[TrajectoryPoint] = []
-    stalled = bec1 = bec2 = False
-    for t, n1, t1, t2, nd in zip(ts, N1s, T1s, T2s, ndots):
-        st = _state_at(cfg, n1, t1, t2)
-        ov = overlap_factor(st)
-        gamma = interspecies_collision_rate(st) if n1 > 0 else 0.0
-        d1 = cfg.psd_prefactor * phase_space_density(max(n1, 0.0), t1,
-                                                     s0.f1.omega_bar)
-        d2 = cfg.psd_prefactor * phase_space_density(s0.N2, t2,
-                                                     s0.f2.omega_bar)
-        # the guard keeps the latch robust when a terminal stop event lands
-        # a float ulp below the threshold it just located
-        bec1 = bec1 or d1 >= cfg.bec_threshold * (1.0 - 1e-12)
-        bec2 = bec2 or d2 >= cfg.bec_threshold * (1.0 - 1e-12)
-        stalled = stalled or (ov < STALL_OVERLAP and nd < 0)
-        pts.append(TrajectoryPoint(t=float(t), N1=float(n1), T1=float(t1),
-                                   T2=float(t2), D1=float(d1), D2=float(d2),
-                                   Gamma=float(gamma), overlap=float(ov),
-                                   stalled=stalled, bec1=bec1, bec2=bec2))
-    return pts
-
-
 def _sample_grid(cfg: TrajectoryConfig, t_final: float) -> np.ndarray:
     n = int(math.ceil(t_final / cfg.dt_max)) + 1
     n = min(max(n, 200), 200_000)
     return np.linspace(0.0, t_final, n)
 
 
+def _solver_stats(sol) -> dict:
+    return {"nfev": int(sol.nfev), "rk_steps": int(sol.t.size) - 1,
+            "status": int(sol.status)}
+
+
 def _simulate_finite(cfg: TrajectoryConfig):
     s0 = cfg.initial
-    xi = transfer_efficiency(s0.M1, s0.M2)
-
-    def rhs(t, y):
-        n1, t1, t2, _ = y
-        n1 = max(n1, N1_FLOOR)
-        nd = _ndot(cfg, t, n1, t1)
-        w = xi * energy_exchange_rate(_state_at(cfg, n1, t1, t2))
-        dT1 = (cfg.eta - 2.0) * t1 * nd / (3.0 * n1) + w / (3.0 * n1 * K_B)
-        dT2 = -w / (3.0 * s0.N2 * K_B)
-        return (nd, dT1, dT2, nd * (cfg.eta + 1.0) * K_B * t1)
+    model = _Model(cfg)
 
     def hit_floor(t, y):
         return y[0] - N1_FLOOR
@@ -224,18 +295,15 @@ def _simulate_finite(cfg: TrajectoryConfig):
     hit_floor.direction = -1
 
     def cross1(t, y):
-        n1, t1 = max(y[0], 0.0), y[1]
-        return (cfg.psd_prefactor * phase_space_density(n1, t1, s0.f1.omega_bar)
-                - cfg.bec_threshold)
+        return model.d1(max(y[0], 0.0), y[1]) - cfg.bec_threshold
 
     def cross2(t, y):
-        return (cfg.psd_prefactor * phase_space_density(s0.N2, y[2], s0.f2.omega_bar)
-                - cfg.bec_threshold)
+        return model.d2(y[2]) - cfg.bec_threshold
     cross1.terminal = cfg.stop_at_threshold
     cross2.terminal = cfg.stop_at_threshold
     cross1.direction = cross2.direction = 1
 
-    sol = solve_ivp(rhs, (0.0, cfg.t_end), (s0.N1, s0.T1, s0.T2, 0.0),
+    sol = solve_ivp(model.rhs, (0.0, cfg.t_end), (s0.N1, s0.T1, s0.T2, 0.0),
                     method="RK45", rtol=1e-8, atol=1e-12,
                     max_step=cfg.dt_max, dense_output=True,
                     events=(hit_floor, cross1, cross2))
@@ -248,27 +316,27 @@ def _simulate_finite(cfg: TrajectoryConfig):
     ts = np.unique(np.concatenate([ts, np.asarray(extra, dtype=float)]))
     y = sol.sol(ts)
     n1s = np.maximum(y[0], 0.0)
-    ndots = np.array([_ndot(cfg, t, n1, t1)
-                      for t, n1, t1 in zip(ts, n1s, y[1])])
-    pts = _assemble(cfg, ts, n1s, y[1], y[2], ndots)
+    pts = model.points(ts, n1s, y[1], y[2], model.ndots(ts, n1s, y[1]))
     audit = {"E_removed": y[3],
              "E_total": 3.0 * K_B * (n1s * y[1] + s0.N2 * y[2]),
-             "t": ts}
+             "t": ts, **_solver_stats(sol)}
     return pts, audit
 
 
-def _instant_n1_of_t(cfg: TrajectoryConfig, p: BudgetParams):
-    """Buffer number vs time in instant mode, as sampled arrays."""
+def _instant_n1_of_t(cfg: TrajectoryConfig, p: BudgetParams, model: _Model):
+    """Buffer number vs time in instant mode, as sampled arrays, and the
+    solver's statistics (none for a ramp)."""
     m = cfg.evaporation_model
     if isinstance(m, RampDriven):
         knots = np.asarray(m.times, dtype=float)
         ts = np.unique(np.concatenate([
             _sample_grid(cfg, cfg.t_end), knots[knots <= cfg.t_end]]))
-        return ts, np.interp(ts, m.times, m.numbers)
+        stats = {"nfev": 0, "rk_steps": 0, "status": None}
+        return ts, np.interp(ts, m.times, m.numbers), stats
 
     def rhs(t, y):
         n1 = max(y[0], N1_FLOOR)
-        return (_ndot(cfg, t, n1, temperature_of(min(n1, p.N1_ini), p)),)
+        return (model.ndot(t, n1, temperature_of(min(n1, p.N1_ini), p)),)
 
     def hit_floor(t, y):
         return y[0] - N1_FLOOR
@@ -281,12 +349,13 @@ def _instant_n1_of_t(cfg: TrajectoryConfig, p: BudgetParams):
     if sol.status == -1:
         raise StepFailure(sol.message)
     ts = _sample_grid(cfg, float(sol.t[-1]))
-    return ts, np.maximum(sol.sol(ts)[0], 0.0)
+    return ts, np.maximum(sol.sol(ts)[0], 0.0), _solver_stats(sol)
 
 
 def _simulate_instant(cfg: TrajectoryConfig):
     p = _budget_params(cfg)
-    ts0, n1s0 = _instant_n1_of_t(cfg, p)
+    model = _Model(cfg)
+    ts0, n1s0, stats = _instant_n1_of_t(cfg, p, model)
 
     # refine sampling at geometric N1 levels so the steep small-N1 end of
     # the ramp (where both phase-space densities peak) is resolved
@@ -303,7 +372,7 @@ def _simulate_instant(cfg: TrajectoryConfig):
     n1s = np.clip(n1s, 0.0, p.N1_ini)
 
     Ts = temperature_of(n1s, p)
-    ndots = np.array([_ndot(cfg, t, n1, T) for t, n1, T in zip(ts, n1s, Ts)])
+    ndots = model.ndots(ts, n1s, Ts)
     if cfg.stop_at_threshold:
         d1 = cfg.psd_prefactor * phase_space_density(n1s, Ts, p.omega1_bar)
         d2 = cfg.psd_prefactor * phase_space_density(p.N2, Ts, p.omega2_bar)
@@ -311,8 +380,8 @@ def _simulate_instant(cfg: TrajectoryConfig):
         if np.any(hit):
             stop = int(np.argmax(hit)) + 1
             ts, n1s, Ts, ndots = ts[:stop], n1s[:stop], Ts[:stop], ndots[:stop]
-    pts = _assemble(cfg, ts, n1s, Ts, Ts, ndots)
-    audit = {"E_removed": None, "E_total": None, "t": ts}
+    pts = model.points(ts, n1s, Ts, Ts, ndots)
+    audit = {"E_removed": None, "E_total": None, "t": ts, **stats}
     return pts, audit
 
 
@@ -331,9 +400,16 @@ def simulate(cfg: TrajectoryConfig) -> list[TrajectoryPoint]:
 
 
 def simulate_with_audit(cfg: TrajectoryConfig):
-    """simulate() plus an energy-bookkeeping audit dict (finite mode):
-    audit["E_total"][i] - audit["E_total"][0] should equal
-    audit["E_removed"][i] up to integrator tolerance."""
+    """simulate() plus an audit dict.
+
+    "t" holds the sample times.  In finite mode, audit["E_total"][i] -
+    audit["E_total"][0] should equal audit["E_removed"][i] up to
+    integrator tolerance; instant mode has None for both.  "nfev" (the
+    right-hand-side evaluations), "rk_steps" (accepted Runge-Kutta steps)
+    and "status" (0: reached t_end, 1: stopped by a terminal event) come
+    from solve_ivp; an instant-mode ramp runs no solver and reports 0, 0
+    and None.
+    """
     if cfg.contact_mode == "instant":
         return _simulate_instant(cfg)
     return _simulate_finite(cfg)

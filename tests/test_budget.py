@@ -54,6 +54,15 @@ def test_params_validation():
         replace(CANON, psd_prefactor=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["eta", "N1_ini", "N2", "T_ini",
+                                   "omega1_bar", "omega2_bar",
+                                   "psd_prefactor"])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        replace(CANON, **{field: value})
+
+
 def test_eta_limit_of_no_cooling():
     """As eta -> 2+ the exponent alpha vanishes and the temperature stays
     at T_ini for every buffer number."""

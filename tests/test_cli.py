@@ -527,12 +527,6 @@ def _file_digests(out):
     return digests
 
 
-# sha256 of libm and numpy results (exp, log, pow, cos, sin) on the machine
-# that recorded the digests below; other last-bit results elsewhere change
-# the data files without any change of the program
-_MATH_FINGERPRINT = \
-    "9aa10f18f10751621087d43313fa54e374093b849ac0eccaa60f45f59b87f764"
-
 # recorded before the config schema and the one table writer
 FROZEN = {
     "trap_56G/constants.json":
@@ -682,22 +676,10 @@ FROZEN = {
 }
 
 
-def _math_fingerprint():
-    x = 10.0 * np.random.Generator(np.random.Philox(0)).random(4096)
-    h = hashlib.sha256()
-    for f in (np.exp, np.log, np.cos, np.sin, np.cbrt):
-        h.update(f(x).tobytes())
-    h.update(np.array([math.exp(v) + math.log(v) + v ** (1.0 / 3.0)
-                       + v ** 2.5 for v in x]).tobytes())
-    return h.hexdigest()
-
-
-def test_frozen_cli_digests(tmp_path):
+def test_frozen_cli_digests(tmp_path, recording_math):
     """Every data file and manifest of the covered configs is byte-identical
     to the one recorded before the config parsing and table writing were
     rewritten."""
-    if _math_fingerprint() != _MATH_FINGERPRINT:
-        pytest.skip("libm or numpy round differently on this machine")
     found = {}
     (tmp_path / "cfg").mkdir()
     for name, argv, out_file in _frozen_cases(tmp_path / "cfg"):
@@ -803,6 +785,19 @@ def test_constructor_errors_name_their_key(tmp_path, capsys, cmd, obj,
     assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
     line = _line_of(path, key) + below
     assert f"(line {line})" in capsys.readouterr().err
+
+
+def test_trap_radially_unconfined_names_the_gradient(tmp_path, capsys):
+    """G^2/B0 <= C does not close the trap: a config error at the line of
+    G_kG_per_cm, exit 2, and nothing written."""
+    path = tmp_path / "c.json"
+    cfg = write_config(path, {**README_TRAP, "G_kG_per_cm": 0.005})
+    out = tmp_path / "out"
+    assert main(["trap", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"(line {_line_of(path, 'G_kG_per_cm')})" in err
+    assert "does not exceed" in err
+    assert not out.exists()
 
 
 def test_traj_events_use_configured_threshold(tmp_path):

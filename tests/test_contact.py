@@ -46,6 +46,16 @@ def _offset_state(delta_um, rho_um, T=400e-9):
     return _state(T1=T, T2=T, f1=f, f2=f, delta=delta_um * 1e-6)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["N1", "N2", "T1", "T2", "M1", "M2",
+                                   "sigma12", "delta"])
+def test_state_rejects_non_finite(field, value):
+    kw = dict(N1=1e4, N2=1e4, T1=1.3e-6, T2=0.7e-6, f1=F0, f2=F0,
+              M1=MASS_RB87, M2=MASS_RB87, sigma12=1.4e-15, delta=0.0)
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        TwoGasState(**{**kw, field: value})
+
+
 # ------------------------------------------------------------------ overlap
 
 def test_overlap_at_working_point():

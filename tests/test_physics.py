@@ -5,7 +5,6 @@ constants shipped in sympcool.constants and are pinned at tight relative
 tolerances so any silent change of the formulas or constants fails loudly.
 """
 
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from sympcool import (
     SpeciesState,
     TrapConfig,
     TrapFrequencies,
-    relative_sag,
+    TwoGasState,
     trap_frequencies,
 )
 from sympcool.constants import (
@@ -26,7 +25,6 @@ from sympcool.constants import (
     K_B,
     KILOGAUSS_PER_CM,
     constants_table,
-    write_constants_json,
 )
 from sympcool.errors import AntiTrapped, DomainError, RadialUnconfined
 
@@ -120,12 +118,19 @@ def test_radial_scale_consistency():
                                                         rel=1e-12)
 
 
+def _delta(f_buffer, f_target):
+    """Centre offset of a buffer in f_buffer and a target in f_target, as
+    TwoGasState.from_traps fills it."""
+    return TwoGasState.from_traps(1e6, 1e4, 1e-6, 1e-6, f_buffer, f_target,
+                                  MASS_RB87, MASS_RB87, 0.0).delta
+
+
 def test_relative_sag_56g_frozen_and_banded():
     """The formula evaluated at the rounded field parameters lands at
     8.57 um; the measured value near 7 um is accepted within 30%."""
     f1 = trap_frequencies(BUFFER, _trap(56.0))
     f2 = trap_frequencies(TARGET, _trap(56.0))
-    delta = relative_sag(f1, f2)
+    delta = _delta(f1, f2)
     assert delta == pytest.approx(8.572746448087147e-06, rel=1e-12)
     assert abs(delta / 7e-6 - 1.0) < 0.30
 
@@ -133,7 +138,7 @@ def test_relative_sag_56g_frozen_and_banded():
 def test_relative_sag_207g_frozen_and_banded():
     f1 = trap_frequencies(BUFFER, _trap(207.0))
     f2 = trap_frequencies(TARGET, _trap(207.0))
-    delta = relative_sag(f1, f2)
+    delta = _delta(f1, f2)
     assert delta == pytest.approx(3.3003329286074965e-05, rel=1e-12)
     assert abs(delta / 26e-6 - 1.0) < 0.30
 
@@ -144,12 +149,12 @@ def test_relative_sag_identity():
     f2 = trap_frequencies(TARGET, _trap(207.0))
     expected = (G_STANDARD / f1.omega_z ** 2) * (1.0 - f1.omega_z ** 2
                                                  / f2.omega_z ** 2)
-    assert relative_sag(f1, f2) == pytest.approx(expected, rel=1e-12)
+    assert _delta(f1, f2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_identical_frequencies_have_zero_sag_difference():
     f = trap_frequencies(BUFFER, _trap(56.0))
-    assert relative_sag(f, f) == 0.0
+    assert _delta(f, f) == 0.0
 
 
 def test_radial_unconfined_at_curvature_balance():
@@ -189,6 +194,32 @@ def test_from_axes_rejects_nonpositive_frequency():
         TrapFrequencies.from_axes(0.0, 100.0, 100.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["omega_x", "omega_y", "omega_z",
+                                   "gravity"])
+def test_from_axes_rejects_non_finite(field, value):
+    kw = dict(omega_x=100.0, omega_y=100.0, omega_z=100.0, gravity=G_STANDARD)
+    with pytest.raises(DomainError, match="finite"):
+        TrapFrequencies.from_axes(**{**kw, field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["B0", "G", "C", "gravity"])
+def test_trap_config_rejects_non_finite(field, value):
+    kw = dict(B0=56 * GAUSS, G=G_GRADIENT, C=56 * GAUSS_PER_CM2)
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        TrapConfig(**{**kw, field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["mass", "sigma_self", "sigma_cross"])
+def test_species_rejects_non_finite(field, value):
+    kw = dict(label="s", F=1, mF=-1, mass=MASS_RB87, sigma_self=1e-16,
+              sigma_cross=1e-16)
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        SpeciesState(**{**kw, field: value})
+
+
 def test_from_axes_sag_and_mean():
     f = TrapFrequencies.from_axes(2 * math.pi * 80, 2 * math.pi * 100,
                                   2 * math.pi * 125, gravity=G_STANDARD)
@@ -211,10 +242,3 @@ def test_constants_table_entries():
     table["k_B"]["value"] = 0.0
     assert constants_table()["k_B"]["value"] == K_B
 
-
-def test_constants_json_roundtrip(tmp_path):
-    path = tmp_path / "constants.json"
-    write_constants_json(str(path))
-    loaded = json.loads(path.read_text())
-    assert loaded["k_B"]["value"] == K_B
-    assert loaded["mass_rb87"]["value"] == MASS_RB87

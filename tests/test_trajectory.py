@@ -1,5 +1,6 @@
 """Cooling trajectories: both contact modes, events, and bookkeeping."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 
 from sympcool import (
+    MASS_LI6,
     MASS_RB87,
     BudgetParams,
     RampDriven,
     RateDriven,
     Region,
+    SpeciesState,
     TrajectoryConfig,
     TrajectoryPoint,
+    TrapConfig,
     TrapFrequencies,
     TwoGasState,
     classify,
@@ -25,7 +29,9 @@ from sympcool import (
     simulate,
     simulate_with_audit,
     single_species_collision_rate,
+    trap_frequencies,
 )
+from sympcool.constants import G_STANDARD
 from sympcool.errors import DomainError
 from sympcool.trajectory import region_of_events
 
@@ -91,6 +97,60 @@ def test_rate_model_validation():
         RateDriven(prefactor=0.0)
     with pytest.raises(DomainError):
         RateDriven(sigma_self=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_evaporation_models_reject_non_finite(value):
+    with pytest.raises(DomainError, match="finite"):
+        RateDriven(prefactor=value)
+    with pytest.raises(DomainError, match="finite"):
+        RateDriven(sigma_self=value)
+    with pytest.raises(DomainError, match="finite"):
+        RampDriven(times=(0.0, value), numbers=(1e4, 0.0))
+    with pytest.raises(DomainError, match="finite"):
+        RampDriven(times=(0.0, 1.0), numbers=(1e4, value))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["eta", "t_end", "dt_max",
+                                   "bec_threshold", "psd_prefactor"])
+def test_config_rejects_non_finite(field, value):
+    kw = dict(initial=_state(), eta=6.5, evaporation_model=RateDriven())
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        TrajectoryConfig(**{**kw, field: value})
+
+
+@pytest.mark.parametrize("model", [
+    RateDriven(prefactor=2.0),
+    RampDriven(times=(0.0, 1.0), numbers=(1e4, 0.0))])
+@pytest.mark.parametrize("T1, T2", [(0.0, 1e-6), (1e-6, -1e-6)])
+def test_rhs_rejects_nonpositive_temperature(model, T1, T2):
+    """The right-hand side keeps the domain check that building a
+    TwoGasState at every evaluation used to make."""
+    from sympcool.trajectory import _Model
+    cfg = TrajectoryConfig(initial=_state(), eta=6.5,
+                           evaporation_model=model)
+    with pytest.raises(DomainError):
+        _Model(cfg).rhs(0.0, np.array([1e4, T1, T2, 0.0]))
+
+
+def test_audit_reports_solver_statistics():
+    """nfev, rk_steps and status come from solve_ivp: six stages per RK45
+    step plus the initial evaluations, one step per sample at most."""
+    cfg = _hold(_state(), t_end=1.0, dt_max=0.01)
+    pts, audit = simulate_with_audit(cfg)
+    assert audit["status"] == 0
+    assert audit["rk_steps"] >= 100
+    assert audit["nfev"] >= 6 * audit["rk_steps"]
+    s = _state(N1=1e4, N2=1e3, T1=1e-6, T2=1e-6, sigma=1e-17)
+    stop = TrajectoryConfig(initial=s, eta=4.0,
+                            evaporation_model=RateDriven(prefactor=50.0,
+                                                         sigma_self=SIG),
+                            t_end=5000.0, dt_max=2.0)
+    assert simulate_with_audit(stop)[1]["status"] == 1
+    instant = simulate_with_audit(_instant_cfg(N2=1e4))[1]
+    assert (instant["nfev"], instant["rk_steps"], instant["status"]) \
+        == (0, 0, None)
 
 
 # ------------------------------------------------------- finite-contact mode
@@ -378,3 +438,91 @@ def test_detect_events_configured_threshold():
                                                         "bec2": 2.0}
     assert region_of_events(detect_events(pts, 1.5)) \
         is Region.DUAL_BUFFER_FIRST
+
+
+# ------------------------------------------------------------ frozen digests
+
+def _criterion_7_leg(b0_gauss, n2, stop):
+    """Acceptance criterion 7's Ioffe-Pritchard leg at bias b0_gauss."""
+    trap = TrapConfig(B0=b0_gauss * 1e-4, G=10.0, C=b0_gauss * 1.0,
+                      gravity=G_STANDARD)
+    buffer = SpeciesState(label="buffer", F=1, mF=-1, mass=MASS_RB87,
+                          sigma_self=7e-16, sigma_cross=2e-17)
+    target = SpeciesState(label="target", F=2, mF=2, mass=MASS_RB87,
+                          sigma_self=7e-16, sigma_cross=2e-17)
+    sigma12 = 2e-17 if b0_gauss > 100 else 7e-16
+    state = TwoGasState.from_traps(1e7, n2, 10e-6, 10e-6,
+                                   trap_frequencies(buffer, trap),
+                                   trap_frequencies(target, trap),
+                                   MASS_RB87, MASS_RB87, sigma12)
+    return TrajectoryConfig(
+        initial=state, eta=6.5,
+        evaporation_model=RateDriven(prefactor=1.0, sigma_self=7e-16),
+        t_end=600.0, dt_max=0.1, stop_at_threshold=stop)
+
+
+def _ramp_leg():
+    s = _state(N1=1e6, N2=1e4, T1=10e-6, T2=8e-6, delta=2e-6)
+    ramp = RampDriven(times=(0.0, 5.0, 20.0), numbers=(1e6, 4e5, 1e4))
+    return TrajectoryConfig(initial=s, eta=6.5, evaporation_model=ramp,
+                            t_end=25.0, dt_max=0.05)
+
+
+def _unequal_mass_leg():
+    """Rb buffer, Li target in a stiffer trap: both sags differ, so delta
+    is nonzero, and sigma_self falls back to sigma12."""
+    f1 = TrapFrequencies.from_axes(*(2 * math.pi * v for v in (80, 100, 125)),
+                                   gravity=G_STANDARD)
+    f2 = TrapFrequencies.from_axes(*(2 * math.pi * v for v in (90, 110, 140)),
+                                   gravity=G_STANDARD)
+    s = TwoGasState.from_traps(1e6, 1e4, 10e-6, 10e-6, f1, f2, MASS_RB87,
+                               MASS_LI6, SIG)
+    return TrajectoryConfig(initial=s, eta=6.5,
+                            evaporation_model=RateDriven(prefactor=3.0),
+                            t_end=30.0, dt_max=0.05)
+
+
+def _instant_rate_leg():
+    s = _state(N1=1e5, N2=1e3, T1=5e-6, T2=5e-6)
+    return TrajectoryConfig(initial=s, eta=6.5,
+                            evaporation_model=RateDriven(prefactor=5.0),
+                            contact_mode="instant", t_end=200.0, dt_max=0.5)
+
+
+def _trajectory_digest(cfg):
+    """SHA-256 over every TrajectoryPoint field and every audit array."""
+    pts, audit = simulate_with_audit(cfg)
+    h = hashlib.sha256()
+    floats = ("t", "N1", "T1", "T2", "D1", "D2", "Gamma", "overlap")
+    flags = ("stalled", "bec1", "bec2")
+    h.update(np.array([[getattr(p, f) for f in floats] for p in pts],
+                      dtype=float).tobytes())
+    h.update(np.array([[getattr(p, f) for f in flags] for p in pts],
+                      dtype=bool).tobytes())
+    for key in ("E_removed", "E_total", "t"):
+        if audit[key] is None:
+            h.update(key.encode())
+        else:
+            h.update(np.ascontiguousarray(audit[key], dtype=float).tobytes())
+    return h.hexdigest()
+
+
+# recorded before the right-hand side moved onto per-config constants
+@pytest.mark.parametrize("make, digest", [
+    (lambda: _criterion_7_leg(207.0, 1e5, stop=False),
+     "56dc0cd38d2680238e3e7052d1bb33b95195a1814aa17127882e69fcddc5765d"),
+    (lambda: _criterion_7_leg(56.0, 5.636e5, stop=True),
+     "ddc408ebb6b834ce02733c229ddc0268a8ce704b75eb0b4898fc9ef8c8390707"),
+    (_ramp_leg,
+     "9658b5912252c479df045e4de67d855d93c4257b643822baa749c84e1d2ebee7"),
+    (_unequal_mass_leg,
+     "bf8781e8f0b9cf6b71cef73f7d5aea0e56785e5021a987d98d90bb2022e816f1"),
+    (_instant_rate_leg,
+     "b0ec2069a883c4d9dd9814d2c61d327fb77cc10bf6395a041ffd26e4d3ac0e74"),
+], ids=["stall_207G", "condense_56G", "ramp_finite", "unequal_mass",
+        "instant_rate"])
+def test_frozen_trajectory_digest(make, digest, recording_math):
+    """Every point and audit array of these legs is bit-identical to the
+    one recorded before the right-hand side moved onto per-config
+    constants; a change of any floating-point operation shows here."""
+    assert _trajectory_digest(make()) == digest
