@@ -96,6 +96,25 @@ class BudgetParams:
         return self.T_ini * (self.N2 / self.N1_ini) ** self.alpha
 
 
+def _region(first1, first2) -> Region:
+    """Regime from when buffer (first1) and target (first2) first reach the
+    threshold, in time or any other increasing measure of ramp progress;
+    None for a species that never does.  A tie counts as target first."""
+    if first1 is not None and first2 is not None:
+        return (Region.DUAL_BUFFER_FIRST if first1 < first2
+                else Region.DUAL_TARGET_FIRST)
+    if first2 is not None:
+        return Region.TARGET_ONLY
+    if first1 is not None:
+        return Region.BUFFER_ONLY
+    return Region.NO_BEC
+
+
+def _closed_form_ordering(p: BudgetParams) -> bool:
+    """3 alpha - 1 > (omega1/omega2)^3, the ordering the closed forms use."""
+    return (3.0 * p.alpha - 1.0) > (p.omega1_bar / p.omega2_bar) ** 3
+
+
 @dataclass(frozen=True)
 class CoolingOutcome:
     """Regime plus the three decision numbers for one (params, N2) cell.
@@ -261,22 +280,16 @@ def classify(N2: float, p: BudgetParams,
     scan values otherwise.
     """
     p = replace(p, N2=float(N2))
-    a3 = 3.0 * p.alpha
-    ordering = (a3 - 1.0) > (p.omega1_bar / p.omega2_bar) ** 3
+    ordering = _closed_form_ordering(p)
 
     n1 = _scan_grid(p, scan_points)
     d1, d2 = psd_curves(n1, p)
 
+    # the ramp runs N1 downwards, so -N1 orders the crossings in time
     up1 = _upcross(n1, d1, threshold, p, which=0)
     up2 = _upcross(n1, d2, threshold, p, which=1)
-    if up1 is not None and up2 is not None:
-        region = Region.DUAL_BUFFER_FIRST if up1 > up2 else Region.DUAL_TARGET_FIRST
-    elif up2 is not None:
-        region = Region.TARGET_ONLY
-    elif up1 is not None:
-        region = Region.BUFFER_ONLY
-    else:
-        region = Region.NO_BEC
+    region = _region(None if up1 is None else -up1,
+                     None if up2 is None else -up2)
 
     d2_max = target_psd_max(p)
     if ordering:
@@ -344,20 +357,17 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
     for eta in np.asarray(eta_grid, dtype=float):
         p = BudgetParams(eta=float(eta), N1_ini=1e8, N2=1e4, T_ini=300e-6,
                          omega1_bar=omega1, omega2_bar=trap_ratio * omega1)
-        ordering = (3.0 * p.alpha - 1.0) > (1.0 / trap_ratio) ** 3
         try:
             n2a, n2b, n2c = critical_numbers(p, threshold)
+            cells = np.asarray(n2_grid, dtype=float)
         except NoInteriorPeak:
-            boundaries.append({"eta": float(eta),
-                               "n2a_over_n2c": math.nan,
-                               "n2b_over_n2c": math.nan,
-                               "closed_form_ordering": ordering})
-            continue
+            n2a = n2b = n2c = math.nan
+            cells = ()
         boundaries.append({"eta": float(eta),
                            "n2a_over_n2c": n2a / n2c,
                            "n2b_over_n2c": n2b / n2c,
-                           "closed_form_ordering": ordering})
-        for ratio in np.asarray(n2_grid, dtype=float):
+                           "closed_form_ordering": _closed_form_ordering(p)})
+        for ratio in cells:
             out = classify(ratio * n2c, p, threshold)
             rows.append({"eta": float(eta), "n2_over_n2c": float(ratio),
                          "region": out.region.value, "d1max": out.D1_max,

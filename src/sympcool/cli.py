@@ -31,10 +31,7 @@ from . import __version__
 from .budget import BudgetParams, classify, critical_numbers, phase_diagram
 from .constants import (AMU, GAUSS, GAUSS_PER_CM2, KILOGAUSS_PER_CM,
                         MASS_RB87, MICROKELVIN, MICROMETER, constants_table)
-from .contact import (TwoGasState, energy_exchange_rate,
-                      interspecies_collision_rate,
-                      interspecies_thermalization_rate, overlap_factor,
-                      rms_sizes, single_species_collision_rate)
+from .contact import TwoGasState, _rates_of, single_species_collision_rate
 from .dsmc import DsmcConfig, fit_relaxation, sample_equilibrium
 from .dsmc import run as dsmc_run
 from .errors import (ConfigError, DomainError, InsufficientDecay,
@@ -381,7 +378,12 @@ def _cmd_phase_diagram(args, cfg: dict, raw: str) -> dict:
         raise ConfigError("ratio must be positive and finite")
     eta_grid = np.linspace(args.eta_min, args.eta_max, args.eta_points)
     n2_grid = np.geomspace(args.n2_min, args.n2_max, args.n2_points)
-    table = phase_diagram(eta_grid, n2_grid, trap_ratio=args.ratio)
+    try:
+        table = phase_diagram(eta_grid, n2_grid, trap_ratio=args.ratio)
+    except DomainError:
+        raise ConfigError(f"--n2-max {args.n2_max!r} is too large: a cell's "
+                          "target number N2 = n2 * N2_c reaches the "
+                          "diagram's reference buffer number")
     header = ["eta", "n2_over_n2c", "region", "d1max", "d2max", "dequal"]
     rows = [[r[k] for k in header] for r in table["rows"]]
     boundaries = [{k: _jsonable(v) for k, v in b.items()}
@@ -399,16 +401,17 @@ def _cmd_phase_diagram(args, cfg: dict, raw: str) -> dict:
 _SWEEP_FIELDS = ("delta", "T", "T1", "T2", "N1", "N2")
 
 
-def _rates(s: TwoGasState) -> list:
-    """Overlap, pair collision rate, heat flow and thermalization rate."""
-    return [overlap_factor(s), interspecies_collision_rate(s),
-            energy_exchange_rate(s), interspecies_thermalization_rate(s)]
+def _rates(pair: tuple) -> list:
+    """Overlap, pair collision rate, heat flow and thermalization rate: the
+    entries after the widths of one contact._rates_of result."""
+    return list(pair[1:])
 
 
 def _cmd_contact(args, cfg: dict, raw: str) -> dict:
     state = _state_from(cfg, raw, "config")
-    rx, ry, rz = rms_sizes(state)
-    overlap, gamma, w, rate = _rates(state)
+    pair = _rates_of(state)
+    rx, ry, rz = pair[0]
+    overlap, gamma, w, rate = _rates(pair)
     files = {"contact_summary.json": {
         "rho_x_um": rx / MICROMETER, "rho_y_um": ry / MICROMETER,
         "rho_z_um": rz / MICROMETER, "delta_um": state.delta / MICROMETER,
@@ -438,7 +441,8 @@ def _cmd_contact(args, cfg: dict, raw: str) -> dict:
                 s = replace(state, **changes)
             except DomainError as exc:
                 raise ConfigError(f"--sweep value {v!r}: {exc}")
-            rows.append([v, rms_sizes(s)[2], *_rates(s)])
+            pair = _rates_of(s)
+            rows.append([v, pair[0][2], *_rates(pair)])
         header = [var, "rho_z", "overlap", "gamma", "w", "inv_tau"]
         files[f"contact_sweep.{args.format}"] = (header, rows)
     return files
@@ -527,15 +531,13 @@ def _cmd_dsmc(args, cfg: dict, raw: str) -> dict:
                 2.0 * collisions / (n_phys[0] * t_end),
             "analytic_thermalization_rate_per_s": gamma / 3.0})
     else:
-        state = TwoGasState(
-            N1=n_phys[0], N2=n_phys[1], T1=temps0[0], T2=temps0[1],
-            f1=freqs[0], f2=freqs[1], M1=species[0].mass, M2=species[1].mass,
-            sigma12=species[0].sigma_cross, delta=freqs[0].sag - freqs[1].sag)
-        summary.update({
-            "analytic_thermalization_rate_per_s":
-                interspecies_thermalization_rate(state),
-            "analytic_pair_rate_per_s": interspecies_collision_rate(state),
-            "overlap": overlap_factor(state)})
+        state = TwoGasState.from_traps(
+            n_phys[0], n_phys[1], temps0[0], temps0[1], freqs[0], freqs[1],
+            species[0].mass, species[1].mass, species[0].sigma_cross)
+        _, overlap, gamma, _, rate = _rates_of(state)
+        summary.update({"analytic_thermalization_rate_per_s": rate,
+                        "analytic_pair_rate_per_s": gamma,
+                        "overlap": overlap})
         cross = (result.channel_collisions or {}).get((0, 1))
         if cross is not None:
             summary["measured_pair_rate_per_s"] = cross / t_end

@@ -104,8 +104,15 @@ def _pair_rates(N1, N2, T1, T2, M1, M2, stiffness, sigma12, delta2):
 
 
 def _rates_of(s: TwoGasState):
-    return _pair_rates(s.N1, s.N2, s.T1, s.T2, s.M1, s.M2, _stiffness(s),
-                       s.sigma12, s.delta ** 2)
+    """(rms_sizes, overlap_factor, interspecies_collision_rate,
+    energy_exchange_rate, interspecies_thermalization_rate) of one state,
+    from one pair-rate evaluation."""
+    rho, overlap, gamma = _pair_rates(s.N1, s.N2, s.T1, s.T2, s.M1, s.M2,
+                                      _stiffness(s), s.sigma12, s.delta ** 2)
+    w = K_B * (s.T2 - s.T1) * gamma
+    inv_tau = (transfer_efficiency(s.M1, s.M2) * gamma
+               * (s.N1 + s.N2) / (3.0 * s.N1 * s.N2))
+    return rho, overlap, gamma, w, inv_tau
 
 
 def rms_sizes(s: TwoGasState) -> tuple[float, float, float]:
@@ -130,7 +137,7 @@ def energy_exchange_rate(s: TwoGasState) -> float:
     per-collision average; the mass-mismatch efficiency enters only the
     relaxation rate below.
     """
-    return K_B * (s.T2 - s.T1) * interspecies_collision_rate(s)
+    return _rates_of(s)[3]
 
 
 def transfer_efficiency(M1: float, M2: float) -> float:
@@ -162,9 +169,7 @@ def interspecies_thermalization_rate(s: TwoGasState) -> float:
 
     with T = (T1 + T2)/2, i.e. gamma/3 in the single-species limit.
     """
-    return (transfer_efficiency(s.M1, s.M2)
-            * interspecies_collision_rate(s)
-            * (s.N1 + s.N2) / (3.0 * s.N1 * s.N2))
+    return _rates_of(s)[4]
 
 
 def single_species_collision_rate(N: float, T: float, omega_bar: float,

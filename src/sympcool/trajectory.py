@@ -29,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .budget import BudgetParams, Region, phase_space_density, temperature_of
+from .budget import BudgetParams, Region, _region, temperature_of
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
 from .contact import (TwoGasState, _pair_rates, _self_rate, _stiffness,
                       transfer_efficiency)
@@ -192,6 +192,7 @@ class _Model:
         self.eta_p1 = cfg.eta + 1.0
         self.three_n2_kb = 3.0 * s.N2 * K_B
         self.psd_prefactor = cfg.psd_prefactor
+        self.threshold = cfg.bec_threshold
         self.latch = cfg.bec_threshold * (1.0 - 1e-12)
         m = cfg.evaporation_model
         if isinstance(m, RampDriven):
@@ -237,16 +238,14 @@ class _Model:
     def d2(self, T2):
         return self.psd_prefactor * _psd(self.N2, T2, self.hbar_omega2)
 
-    def ndots(self, ts, n1s, T1s) -> np.ndarray:
-        return np.array([self.ndot(t, n1, t1) for t, n1, t1
-                         in zip(ts.tolist(), n1s.tolist(), T1s.tolist())])
-
-    def points(self, ts, N1s, T1s, T2s, ndots) -> list[TrajectoryPoint]:
-        """Latched trajectory points from sampled arrays."""
+    def points(self, ts, N1s, T1s, T2s, stop=False) -> list[TrajectoryPoint]:
+        """Latched trajectory points from sampled arrays; with stop, the
+        last point is the first whose D1 or D2 reaches the threshold."""
         pts: list[TrajectoryPoint] = []
         stalled = bec1 = bec2 = False
-        for t, n1, t1, t2, nd in zip(ts.tolist(), N1s.tolist(), T1s.tolist(),
-                                     T2s.tolist(), ndots.tolist()):
+        for t, n1, t1, t2 in zip(ts.tolist(), N1s.tolist(), T1s.tolist(),
+                                 T2s.tolist()):
+            nd = self.ndot(t, n1, t1)
             if t1 <= 0 or t2 <= 0:
                 raise DomainError("temperatures must be positive")
             _, ov, gamma = _pair_rates(max(n1, 1e-9), self.N2, t1, t2,
@@ -264,6 +263,8 @@ class _Model:
                                        D2=d2, Gamma=gamma, overlap=ov,
                                        stalled=stalled, bec1=bec1,
                                        bec2=bec2))
+            if stop and (d1 >= self.threshold or d2 >= self.threshold):
+                break
         return pts
 
 
@@ -285,14 +286,25 @@ def _solver_stats(sol) -> dict:
             "status": int(sol.status)}
 
 
-def _simulate_finite(cfg: TrajectoryConfig):
-    s0 = cfg.initial
-    model = _Model(cfg)
-
+def _integrate(rhs, y0, cfg: TrajectoryConfig, events=()):
+    """solve_ivp from 0 to t_end with the module's RK45 settings, stopped
+    when the buffer number y[0] falls to N1_FLOOR."""
     def hit_floor(t, y):
         return y[0] - N1_FLOOR
     hit_floor.terminal = True
     hit_floor.direction = -1
+
+    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, method="RK45", rtol=1e-8,
+                    atol=1e-12, max_step=cfg.dt_max, dense_output=True,
+                    events=(hit_floor, *events))
+    if sol.status == -1:
+        raise StepFailure(sol.message)
+    return sol
+
+
+def _simulate_finite(cfg: TrajectoryConfig):
+    s0 = cfg.initial
+    model = _Model(cfg)
 
     def cross1(t, y):
         return model.d1(max(y[0], 0.0), y[1]) - cfg.bec_threshold
@@ -303,20 +315,15 @@ def _simulate_finite(cfg: TrajectoryConfig):
     cross2.terminal = cfg.stop_at_threshold
     cross1.direction = cross2.direction = 1
 
-    sol = solve_ivp(model.rhs, (0.0, cfg.t_end), (s0.N1, s0.T1, s0.T2, 0.0),
-                    method="RK45", rtol=1e-8, atol=1e-12,
-                    max_step=cfg.dt_max, dense_output=True,
-                    events=(hit_floor, cross1, cross2))
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-
+    sol = _integrate(model.rhs, (s0.N1, s0.T1, s0.T2, 0.0), cfg,
+                     (cross1, cross2))
     t_final = float(sol.t[-1])
     ts = _sample_grid(cfg, t_final)
     extra = [te[0] for te in sol.t_events if te.size]
     ts = np.unique(np.concatenate([ts, np.asarray(extra, dtype=float)]))
     y = sol.sol(ts)
     n1s = np.maximum(y[0], 0.0)
-    pts = model.points(ts, n1s, y[1], y[2], model.ndots(ts, n1s, y[1]))
+    pts = model.points(ts, n1s, y[1], y[2])
     audit = {"E_removed": y[3],
              "E_total": 3.0 * K_B * (n1s * y[1] + s0.N2 * y[2]),
              "t": ts, **_solver_stats(sol)}
@@ -338,16 +345,7 @@ def _instant_n1_of_t(cfg: TrajectoryConfig, p: BudgetParams, model: _Model):
         n1 = max(y[0], N1_FLOOR)
         return (model.ndot(t, n1, temperature_of(min(n1, p.N1_ini), p)),)
 
-    def hit_floor(t, y):
-        return y[0] - N1_FLOOR
-    hit_floor.terminal = True
-    hit_floor.direction = -1
-
-    sol = solve_ivp(rhs, (0.0, cfg.t_end), (cfg.initial.N1,), method="RK45",
-                    rtol=1e-8, atol=1e-12, max_step=cfg.dt_max,
-                    dense_output=True, events=(hit_floor,))
-    if sol.status == -1:
-        raise StepFailure(sol.message)
+    sol = _integrate(rhs, (cfg.initial.N1,), cfg)
     ts = _sample_grid(cfg, float(sol.t[-1]))
     return ts, np.maximum(sol.sol(ts)[0], 0.0), _solver_stats(sol)
 
@@ -372,16 +370,8 @@ def _simulate_instant(cfg: TrajectoryConfig):
     n1s = np.clip(n1s, 0.0, p.N1_ini)
 
     Ts = temperature_of(n1s, p)
-    ndots = model.ndots(ts, n1s, Ts)
-    if cfg.stop_at_threshold:
-        d1 = cfg.psd_prefactor * phase_space_density(n1s, Ts, p.omega1_bar)
-        d2 = cfg.psd_prefactor * phase_space_density(p.N2, Ts, p.omega2_bar)
-        hit = (d1 >= cfg.bec_threshold) | (d2 >= cfg.bec_threshold)
-        if np.any(hit):
-            stop = int(np.argmax(hit)) + 1
-            ts, n1s, Ts, ndots = ts[:stop], n1s[:stop], Ts[:stop], ndots[:stop]
-    pts = model.points(ts, n1s, Ts, Ts, ndots)
-    audit = {"E_removed": None, "E_total": None, "t": ts, **stats}
+    pts = model.points(ts, n1s, Ts, Ts, stop=cfg.stop_at_threshold)
+    audit = {"E_removed": None, "E_total": None, "t": ts[:len(pts)], **stats}
     return pts, audit
 
 
@@ -425,59 +415,32 @@ def detect_events(points: Sequence[TrajectoryPoint],
     bracketing samples; the stall time interpolates the overlap factor
     through 0.01.
     """
+    floor = N1_FLOOR * (1.0 + 1e-12)
     events: list[TrajectoryEvent] = []
-
-    def interp(i: int, frac: float, kind: str):
-        a, b = points[i - 1], points[i]
+    # plain attribute loops: a generic getter per point is slower
+    for kind, i, value, level in (
+            ("bec1", next((i for i, pt in enumerate(points) if pt.bec1), None),
+             "D1", bec_threshold),
+            ("bec2", next((i for i, pt in enumerate(points) if pt.bec2), None),
+             "D2", bec_threshold),
+            ("stall", next((i for i, pt in enumerate(points) if pt.stalled),
+                           None), "overlap", STALL_OVERLAP),
+            ("buffer_exhausted", next((i for i, pt in enumerate(points)
+                                       if pt.N1 <= floor), None),
+             "N1", N1_FLOOR)):
+        if i is None:
+            continue
+        # a flag set at the first sample places its event there (frac 0)
+        a, b = points[max(i - 1, 0)], points[i]
+        v0, v1 = getattr(a, value), getattr(b, value)
+        frac = 0.0 if v1 == v0 else (level - v0) / (v1 - v0)
+        frac = min(max(frac, 0.0), 1.0)
         events.append(TrajectoryEvent(
             kind=kind,
             t=a.t + frac * (b.t - a.t),
             N1=a.N1 + frac * (b.N1 - a.N1),
             T1=a.T1 + frac * (b.T1 - a.T1),
             T2=a.T2 + frac * (b.T2 - a.T2)))
-
-    def first_flag(attr: str):
-        for i, pt in enumerate(points):
-            if getattr(pt, attr):
-                return i
-        return None
-
-    threshold_of = {"bec1": ("D1",), "bec2": ("D2",)}
-    for kind, (field_name,) in threshold_of.items():
-        i = first_flag(kind)
-        if i is None:
-            continue
-        if i == 0:
-            events.append(TrajectoryEvent(kind, points[0].t, points[0].N1,
-                                          points[0].T1, points[0].T2))
-            continue
-        d0 = getattr(points[i - 1], field_name)
-        d1 = getattr(points[i], field_name)
-        frac = 0.0 if d1 == d0 else (bec_threshold - d0) / (d1 - d0)
-        interp(i, min(max(frac, 0.0), 1.0), kind)
-
-    i = first_flag("stalled")
-    if i is not None:
-        if i == 0:
-            events.append(TrajectoryEvent("stall", points[0].t, points[0].N1,
-                                          points[0].T1, points[0].T2))
-        else:
-            o0, o1 = points[i - 1].overlap, points[i].overlap
-            frac = 0.0 if o1 == o0 else (STALL_OVERLAP - o0) / (o1 - o0)
-            interp(i, min(max(frac, 0.0), 1.0), "stall")
-
-    floor = N1_FLOOR * (1.0 + 1e-12)
-    for i, pt in enumerate(points):
-        if pt.N1 <= floor:
-            if i == 0:
-                events.append(TrajectoryEvent(
-                    "buffer_exhausted", points[0].t, points[0].N1,
-                    points[0].T1, points[0].T2))
-            else:
-                n0, n1 = points[i - 1].N1, points[i].N1
-                frac = 0.0 if n1 == n0 else (N1_FLOOR - n0) / (n1 - n0)
-                interp(i, min(max(frac, 0.0), 1.0), "buffer_exhausted")
-            break
     events.sort(key=lambda e: e.t)
     return events
 
@@ -492,11 +455,4 @@ def region_of_events(events: Sequence[TrajectoryEvent]) -> Region:
     """Map the chronological condensation events of a full-ramp trajectory
     onto the regime labels of the budget classifier."""
     times = {e.kind: e.t for e in events}
-    t1, t2 = times.get("bec1"), times.get("bec2")
-    if t1 is not None and t2 is not None:
-        return Region.DUAL_BUFFER_FIRST if t1 < t2 else Region.DUAL_TARGET_FIRST
-    if t2 is not None:
-        return Region.TARGET_ONLY
-    if t1 is not None:
-        return Region.BUFFER_ONLY
-    return Region.NO_BEC
+    return _region(times.get("bec1"), times.get("bec2"))

@@ -140,6 +140,21 @@ def test_phase_diagram_rejects_bad_grid(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n2_max", ["8", "10"])
+def test_phase_diagram_rejects_cells_beyond_reference_buffer(tmp_path, capsys,
+                                                             n2_max):
+    """A cell whose N2 reaches the diagram's hidden reference buffer number
+    is a config error naming --n2-max (not the unset key N1_ini), and
+    nothing is written."""
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "--ratio", "1.41", "--n2-max", n2_max,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sympcool: config error: --n2-max")
+    assert "N1_ini" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- contact
 
 def contact_state(tmp_path):
@@ -176,6 +191,25 @@ def test_contact_summary_and_sweep(tmp_path):
     assert "," not in row[2] and "." in row[2]
     # heat flow is zero at equal temperatures
     assert float(row[4]) == 0.0
+
+
+def test_contact_sweep_evaluates_pair_rates_once_per_state(tmp_path,
+                                                          monkeypatch):
+    """The summary and each of the 40 sweep rows cost one pair-rate
+    evaluation: widths, overlap, Gamma, W and 1/tau all come from it."""
+    import sympcool.contact as contact
+    calls = []
+    pair_rates = contact._pair_rates
+
+    def counted(*args):
+        calls.append(args)
+        return pair_rates(*args)
+
+    monkeypatch.setattr(contact, "_pair_rates", counted)
+    cfg, _ = contact_state(tmp_path)
+    assert main(["contact", "--state", cfg, "--out", str(tmp_path),
+                 "--sweep", "T:0.2:0.6:40"]) == 0
+    assert len(calls) == 41
 
 
 def test_contact_sweep_validation(tmp_path, capsys):

@@ -526,3 +526,50 @@ def test_frozen_trajectory_digest(make, digest, recording_math):
     one recorded before the right-hand side moved onto per-config
     constants; a change of any floating-point operation shows here."""
     assert _trajectory_digest(make()) == digest
+
+
+def _event_digest(cfg):
+    """SHA-256 over every TrajectoryPoint field, every event of
+    detect_events at the configured threshold and region_from_events."""
+    pts = simulate(cfg)
+    h = hashlib.sha256()
+    floats = ("t", "N1", "T1", "T2", "D1", "D2", "Gamma", "overlap")
+    flags = ("stalled", "bec1", "bec2")
+    h.update(np.array([[getattr(p, f) for f in floats] for p in pts],
+                      dtype=float).tobytes())
+    h.update(np.array([[getattr(p, f) for f in flags] for p in pts],
+                      dtype=bool).tobytes())
+    for e in detect_events(pts, cfg.bec_threshold):
+        h.update(e.kind.encode())
+        h.update(np.array([e.t, e.N1, e.T1, e.T2], dtype=float).tobytes())
+    h.update(region_from_events(pts).value.encode())
+    return h.hexdigest()
+
+
+# recorded before detect_events, the instant-mode stop and the regime map
+# were each written once
+@pytest.mark.parametrize("make, digest", [
+    (lambda: _criterion_7_leg(207.0, 1e5, stop=False),
+     "1b7c8d452c92c62b224ed47fac8d08ccc2d43660eba430dd6fdf517ec903f8b7"),
+    (lambda: _criterion_7_leg(56.0, 5.636e5, stop=True),
+     "c7d94d359fc8751a9f9a9126c63391db44a5bead3e28fc4c9e490af8184ee19b"),
+    (_ramp_leg,
+     "c78b3891b3241c8e001a70145aa1598ac4fd8ca72a1b6448b223ebadca0bcd5f"),
+    (_unequal_mass_leg,
+     "b09cff79afe822f93b040f3c67fc30664c046307d73bad775dc171f65d5eba4b"),
+    (_instant_rate_leg,
+     "b950936635dc8feb4cf2382058105d006b6e32cdbd7ed680f975425bec09f067"),
+    (lambda: _instant_cfg(N2=3.2e4, stop_at_threshold=True),
+     "b2b42e8daddd23817edf52dd541ee45b4dc9d3169d106aa079764096a714d1ca"),
+    (lambda: replace(_instant_rate_leg(), stop_at_threshold=True),
+     "ca146d863bab7d4a90961a9125d7faa335ed0e9f625ded53b74d556af4f8387f"),
+    (lambda: _instant_cfg(N2=2e4, bec_threshold=1.5),
+     "1dac328e4290aac7ea3ea99a1777261db93e81527cb12e32fdd3b4d60e6bebc9"),
+], ids=["stall_207G", "condense_56G", "ramp_finite", "unequal_mass",
+        "instant_rate", "instant_ramp_stop", "instant_rate_stop",
+        "instant_threshold_1.5"])
+def test_frozen_event_digest(make, digest, recording_math):
+    """Points, events and region of these legs are bit-identical to the
+    ones recorded before the crossing scan, the instant-mode stop and the
+    regime map were each written once."""
+    assert _event_digest(make()) == digest
