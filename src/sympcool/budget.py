@@ -348,7 +348,8 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
     boundary entry carries the ratios n2a_over_n2c / n2b_over_n2c (NaN for
     eta <= 3, where the closed forms have no interior peak and the cells
     are omitted as well) and closed_form_ordering.  The ratios are independent
-    of the reference N1_ini and T_ini used internally.
+    of the reference N1_ini and T_ini used internally; at those numbers N2_c
+    underflows for eta just above 3, which raises DomainError.
     """
     if trap_ratio <= 0:
         raise DomainError("trap_ratio must be positive")
@@ -363,6 +364,11 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
         except NoInteriorPeak:
             n2a = n2b = n2c = math.nan
             cells = ()
+        except OverflowError:       # N2_b overflows where N2_c underflows
+            n2c = 0.0
+        if n2c < np.finfo(float).tiny:     # as eta nears 3
+            raise DomainError(f"eta = {eta:.6g} is too close to 3: N2_c "
+                              "underflows at the reference numbers")
         boundaries.append({"eta": float(eta),
                            "n2a_over_n2c": n2a / n2c,
                            "n2b_over_n2c": n2b / n2c,

@@ -378,6 +378,10 @@ def _cmd_phase_diagram(args, cfg: dict, raw: str) -> dict:
         raise ConfigError("ratio must be positive and finite")
     eta_grid = np.linspace(args.eta_min, args.eta_max, args.eta_points)
     n2_grid = np.geomspace(args.n2_min, args.n2_max, args.n2_points)
+    try:    # N2_c falls as eta nears 3, so the smallest eta fails first
+        phase_diagram([args.eta_min], [], trap_ratio=args.ratio)
+    except DomainError as exc:
+        raise ConfigError(f"--eta-min {args.eta_min!r}: {exc}")
     try:
         table = phase_diagram(eta_grid, n2_grid, trap_ratio=args.ratio)
     except DomainError:

@@ -16,12 +16,13 @@ Because the velocity distribution of a harmonic-trap equilibrium is the
 same everywhere in the cloud, a single adaptive majorant per species pair
 is as sharp as a per-cell one.  Cells are addressed by compact integer
 keys over the clouds' bounding box, so no grid is allocated and no
-particle is ever clipped into another cell; the particle index packed
-into each key's low bits makes the keys unique, so one plain sort per
-species and step groups the particles by cell in an order that does not
-depend on numpy's sort algorithm.  All randomness flows from one
-counter-based Philox generator, making runs reproducible bit-for-bit for
-a given (config, seed)."""
+particle is ever clipped into another cell.  One ensemble bit and then
+the particle index are packed below the cell key, which makes the keys
+unique, so one plain sort per step groups the particles of every
+ensemble by (cell, ensemble) in an order that does not depend on numpy's
+sort algorithm; self and cross channels draw their pairs from that one
+table.  All randomness flows from one counter-based Philox generator,
+making runs reproducible bit-for-bit for a given (config, seed)."""
 
 from __future__ import annotations
 
@@ -115,9 +116,10 @@ class DsmcConfig:
                 raise DomainError(
                     f"cell_size = {self.cell_size:.3g} m exceeds a quarter "
                     f"of the smallest cloud size {rho_min:.3g} m")
-        weights = {e.weight for e in self.ensembles}
-        if len(weights) != 1:
+        if len({e.weight for e in self.ensembles}) != 1:
             raise DomainError("all ensembles must share one weight")
+        if len({e.species.sigma_cross for e in self.ensembles}) != 1:
+            raise DomainError("the two species disagree on sigma_cross")
 
 
 @dataclass
@@ -255,32 +257,19 @@ class _Channel:
             ("candidates", "accepted", "overflows", "dropped"), 0)
 
 
-class _CellIndex:
-    """One ensemble's particles grouped by cell: the sorted particle order,
-    the occupied cells' keys, where each cell starts in that order and its
-    particle count."""
-
-    __slots__ = ("order", "uc", "starts", "counts")
-
-    def __init__(self, packed: np.ndarray, bits: int):
-        packed = np.sort(packed)
-        self.order = packed & ((1 << bits) - 1)
-        ks = packed >> bits
-        cut = np.flatnonzero(ks[1:] != ks[:-1])
-        self.starts = np.concatenate([[0], cut + 1])
-        self.uc = ks[self.starts]
-        self.counts = np.diff(np.concatenate([self.starts, [len(ks)]]))
-
-
-def _cell_indices(xs, scratch, cell: float) -> list[_CellIndex]:
-    """Group every ensemble's particles by cell, floor(x / cell) per axis.
+def _cell_table(xs, scratch, cell: float):
+    """Group the particles of every ensemble by cell, floor(x / cell) per
+    axis, with one sort.
 
     The cell coordinates are offset by their minimum over all ensembles,
-    so the key (ix * ny + iy) * nz + iz is compact, ordered like (ix, iy,
-    iz) and shared between ensembles.  The particle index is packed into
-    the low bits: the packed keys are unique, so one plain sort gives the
-    same order as a stable sort of the cell keys, whatever algorithm numpy
-    picks.  `scratch` holds one (3, n) float buffer per ensemble.
+    so the key (ix * ny + iy) * nz + iz is compact and ordered like (ix,
+    iy, iz).  One ensemble bit and then the particle index are packed below
+    it: the packed keys are unique, so one plain sort orders the particles
+    by (cell, ensemble, index) whatever algorithm numpy picks.  Each run of
+    equal (cell, ensemble) keys holds one ensemble's particles in one cell.
+    Returns the particle index at each sorted position and the runs as
+    (keys, starts, lengths, indices of each ensemble's runs).  `scratch`
+    holds one (3, n) float buffer per ensemble.
     """
     floors = [np.floor(np.divide(x, cell, out=buf), out=buf)
               for x, buf in zip(xs, scratch)]
@@ -291,14 +280,14 @@ def _cell_indices(xs, scratch, cell: float) -> list[_CellIndex]:
         raise DomainError(f"particle positions are not finite or lie "
                           f"beyond 2**62 cells of cell_size = {cell:.3g} m")
     span = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    if math.prod(span) << bits >= 1 << 63:
+    if math.prod(span) << (bits + 1) >= 1 << 63:
         raise DomainError(
             f"cell_size = {cell:.3g} m cuts the clouds into {span} cells "
-            f"per axis, too many for a 64-bit key with {bits} particle-index "
-            "bits; use a larger cell_size")
+            f"per axis, too many for a 64-bit key with an ensemble bit and "
+            f"{bits} particle-index bits; use a larger cell_size")
     offset = lo.astype(np.int64)[:, None]
-    out = []
-    for f in floors:
+    keys = []
+    for e, f in enumerate(floors):
         idx = f.astype(np.int64)
         idx -= offset
         key = idx[0]
@@ -306,53 +295,61 @@ def _cell_indices(xs, scratch, cell: float) -> list[_CellIndex]:
         key += idx[1]
         key *= span[2]
         key += idx[2]
-        key <<= bits
-        key |= np.arange(f.shape[1])
-        out.append(_CellIndex(key, bits))
-    return out
+        key <<= bits + 1            # the ensemble bit, then the index
+        key |= np.arange(e << bits, (e << bits) + f.shape[1])
+        keys.append(key)
+    packed = np.sort(np.concatenate(keys))
+    run_key = packed >> bits
+    starts = np.flatnonzero(np.concatenate([[True],
+                                            run_key[1:] != run_key[:-1]]))
+    counts = np.diff(np.append(starts, len(packed)))
+    run_key = run_key[starts]
+    # each ensemble's runs, found once per step; a lone ensemble owns all
+    own = [slice(None)] if len(xs) == 1 else [
+        np.flatnonzero((run_key & 1) == e) for e in range(len(xs))]
+    return packed & ((1 << bits) - 1), (run_key, starts, counts, own)
 
 
-def _select_pairs(rng, same: bool, ca: _CellIndex, cb: _CellIndex, factor):
-    """Candidate pair indices (into each ensemble) for one channel."""
-    if same:
-        na, st_a = ca.counts, ca.starts
-        pairs = 0.5 * na * (na - 1.0)
-        nb = lo = None
+def _slots(rng, n: np.ndarray) -> np.ndarray:
+    """One uniform index below each entry of n."""
+    k = (rng.random(len(n)) * n).astype(np.int64)
+    np.minimum(k, n - 1, out=k)     # random() * n can round up to n
+    return k
+
+
+def _select_pairs(rng, runs, a: int, b: int, factor: float):
+    """Candidate pairs of channel (a, b) as positions in the cell table's
+    sorted order, with the no-time-counter count per cell: one rounding
+    uniform per cell, then i, then j.  A self channel pairs two distinct
+    particles of one run; a cross channel pairs a run of ensemble 0 with
+    the adjacent run of ensemble 1 in the same cell."""
+    run_key, starts, counts, own = runs
+    # gathers by index array: several times faster than by boolean mask
+    if a == b:
+        at = own[a]
+        na, sa = counts[at], starts[at]
+        nb, sb, half = na - 1, sa, 0.5
     else:
-        at = np.searchsorted(cb.uc, ca.uc)
-        np.minimum(at, len(cb.uc) - 1, out=at)
-        mask = cb.uc[at] == ca.uc
-        na, st_a = ca.counts[mask], ca.starts[mask]
-        nb, lo = cb.counts[at[mask]], cb.starts[at[mask]]
-        pairs = na.astype(float) * nb
-    m_float = pairs * factor
+        at = np.flatnonzero(run_key[1:] == (run_key[:-1] | 1))
+        na, sa = counts[at], starts[at]
+        nb, sb, half = counts[at + 1], starts[at + 1], 1.0
+    m_float = half * na * nb * factor
     m = m_float.astype(np.int64)
     m += rng.random(len(m_float)) < (m_float - m)
-    total = int(m.sum())
-    if total == 0:
+    if not m.any():
         return None
-    na_rep = np.repeat(na, m)
-    st_rep = np.repeat(st_a, m)
-    i_loc = (rng.random(total) * na_rep).astype(np.int64)
-    np.minimum(i_loc, na_rep - 1, out=i_loc)
-    ia = ca.order[st_rep + i_loc]
-    if same:
-        j_loc = (rng.random(total) * (na_rep - 1)).astype(np.int64)
-        np.minimum(j_loc, na_rep - 2, out=j_loc)
+    i_loc = _slots(rng, np.repeat(na, m))
+    j_loc = _slots(rng, np.repeat(nb, m))
+    if a == b:              # j skips i within their shared run
         j_loc += j_loc >= i_loc
-        ib = ca.order[st_rep + j_loc]
-    else:
-        nb_rep = np.repeat(nb, m)
-        j_loc = (rng.random(total) * nb_rep).astype(np.int64)
-        np.minimum(j_loc, nb_rep - 1, out=j_loc)
-        ib = cb.order[np.repeat(lo, m) + j_loc]
-    return ia, ib
+    return np.repeat(sa, m) + i_loc, np.repeat(sb, m) + j_loc
 
 
 def _dedup_pairs(ia: np.ndarray, ib: np.ndarray):
     """Keep the first accepted pair per particle; later conflicting pairs
     in the same step are dropped (a vanishing-bias simplification of the
-    sequential per-cell update)."""
+    sequential per-cell update).  ia and ib are positions in the cell
+    table, each naming one particle of one ensemble."""
     seen = set()
     keep = []
     for k, (i, j) in enumerate(zip(ia.tolist(), ib.tolist())):
@@ -390,19 +387,15 @@ def run(cfg: DsmcConfig) -> DsmcResult:
         if sp.sigma_self > 0:
             channels.append(_Channel(i, i, sp.sigma_self,
                                      5.0 * math.sqrt(2.0) * thermal[i]))
-    if len(species) == 2:
-        sig = species[0].sigma_cross
-        if sig != species[1].sigma_cross:
-            raise DomainError("the two ensembles disagree on sigma_cross")
-        if sig > 0:
-            vmax0 = 5.0 * math.hypot(thermal[0], thermal[1])
-            channels.append(_Channel(0, 1, sig, vmax0))
+    if len(species) == 2 and species[0].sigma_cross > 0:
+        channels.append(_Channel(0, 1, species[0].sigma_cross,
+                                 5.0 * math.hypot(thermal[0], thermal[1])))
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     n_total = sum(e.n for e in cfg.ensembles)
     times, temps, colls = [], [], []
     collisions = 0.0
-    lone_sum, lone_n = 0.0, 0
+    lone_sum = 0.0
 
     def record(step):
         times.append(step * cfg.dt)
@@ -414,20 +407,18 @@ def run(cfg: DsmcConfig) -> DsmcResult:
         for flight, x, v in zip(flights, xs, vs):
             flight.step(x, v)
 
-        cells = _cell_indices(xs, scratch, cfg.cell_size)
-
-        lone_sum += sum(np.count_nonzero(c.counts == 1)
-                        for c in cells) / n_total
-        lone_n += 1
+        order, runs = _cell_table(xs, scratch, cfg.cell_size)
+        # a run of one: a particle alone in its cell among its ensemble
+        lone_sum += np.count_nonzero(runs[2] == 1) / n_total
 
         for ch in channels:
-            same = ch.ia == ch.ib
             a, b = ch.ia, ch.ib
             factor = weight * ch.sigma * ch.vmax * cfg.dt / vc
-            sel = _select_pairs(rng, same, cells[a], cells[b], factor)
+            sel = _select_pairs(rng, runs, a, b, factor)
             if sel is None:
                 continue
-            ia, ib = sel
+            pa, pb = sel
+            ia, ib = order[pa], order[pb]
             va, vb = vs[a], vs[b]
             speed = _speeds(va[:, ia], vb[:, ib])
             top = float(speed.max())
@@ -440,16 +431,12 @@ def run(cfg: DsmcConfig) -> DsmcResult:
             idx = np.flatnonzero(acc)
             if idx.size == 0:
                 continue
-            ia, ib, speed = ia[idx], ib[idx], speed[idx]
-            if same:
-                flat_keep = _dedup_pairs(ia, ib)
-            else:
-                flat_keep = _dedup_pairs(ia, ib + (1 << 40))
+            keep = idx[_dedup_pairs(pa[idx], pb[idx])]
             ch.counts["accepted"] += idx.size
-            ch.counts["dropped"] += idx.size - flat_keep.size
-            if flat_keep.size == 0:
+            ch.counts["dropped"] += idx.size - keep.size
+            if keep.size == 0:
                 continue
-            ia, ib, speed = ia[flat_keep], ib[flat_keep], speed[flat_keep]
+            ia, ib, speed = ia[keep], ib[keep], speed[keep]
             va[:, ia], vb[:, ib] = _scatter(va[:, ia], vb[:, ib], masses[a],
                                             masses[b], speed, rng)
             collisions += weight * len(ia)
@@ -457,7 +444,7 @@ def run(cfg: DsmcConfig) -> DsmcResult:
         if step % cfg.record_every == 0 or step == n_steps:
             record(step)
 
-    lone_fraction = lone_sum / max(lone_n, 1)
+    lone_fraction = lone_sum / max(n_steps, 1)
     if lone_fraction > 0.5:
         warnings.warn(
             f"{100 * lone_fraction:.0f}% of test particles sat alone in "

@@ -155,6 +155,22 @@ def test_phase_diagram_rejects_cells_beyond_reference_buffer(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio, eta", [("1", "3.0001"), ("1", "3.01"),
+                                        ("0.3", "3.001")])
+def test_phase_diagram_rejects_eta_next_to_three(tmp_path, capsys, ratio,
+                                                 eta):
+    """Just above eta = 3 the critical number N2_c at the diagram's
+    reference numbers underflows (or N2_b overflows): a config error
+    naming --eta-min, not a traceback, and nothing is written."""
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "--ratio", ratio, "--eta-min", eta,
+                 "--eta-max", eta, "--eta-points", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sympcool: config error: --eta-min {eta}")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- contact
 
 def contact_state(tmp_path):
@@ -317,6 +333,22 @@ def test_dsmc_two_species_files(tmp_path):
     # far too short for two e-folds: the fit must decline, not lie
     assert summary["fitted_rate_per_s"] is None
     assert "fit_note" in summary
+
+
+def test_dsmc_rejects_mismatched_cross_sections(tmp_path, capsys):
+    """Two species that disagree on sigma_cross are a config error at the
+    species key, and nothing is written."""
+    _, obj = dsmc_config(tmp_path)
+    obj["species"][1]["sigma_cross_m2"] = 2.8e-15
+    cfg = write_config(tmp_path / "dsmc.json", obj)
+    out = tmp_path / "out"
+    assert main(["dsmc", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    raw = Path(cfg).read_text().splitlines()
+    line = next(i for i, text in enumerate(raw, 1) if '"species"' in text)
+    assert err.startswith(f"sympcool: config error (line {line}): ")
+    assert "species" in err and "sigma_cross" in err
+    assert not out.exists()
 
 
 def test_dsmc_single_species_summary(tmp_path):

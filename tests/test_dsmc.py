@@ -26,6 +26,7 @@ from sympcool import (
     sample_equilibrium,
     total_energy,
 )
+from sympcool import dsmc
 from sympcool.constants import G_STANDARD, K_B
 from sympcool.errors import DomainError, InsufficientDecay
 
@@ -337,6 +338,80 @@ def test_diagnostics_count_every_pair():
     assert sum(d["dropped"] for d in out.diagnostics.values()) > 0
 
 
+# (cell, particles of ensemble 0, particles of ensemble 1) on a 2.4 um
+# grid, in cell order
+_POPULATION = [((-2, 1, 3), 1, 4), ((0, 0, -1), 2, 1), ((0, 0, 0), 3, 2),
+               ((0, 0, 1), 0, 3), ((1, -1, 0), 5, 0)]
+
+
+def _fixed_cells():
+    """Hand-placed particles of two ensembles in the cells of _POPULATION,
+    shuffled within each ensemble, as (3, n) position arrays together with
+    each particle's integer cell."""
+    rng = _rng(61)
+    xs, cells = [], []
+    for e in (0, 1):
+        at = np.array([c for c, *n in _POPULATION for _ in range(n[e])])
+        at = at[rng.permutation(len(at))]
+        xs.append(((at + rng.uniform(0.05, 0.95, at.shape)) * 2.4e-6).T.copy())
+        cells.append(at)
+    return xs, cells
+
+
+def test_cell_table_orders_by_cell_then_ensemble():
+    """One sort gives the order of a stable argsort of (cell, ensemble)."""
+    xs, cells = _fixed_cells()
+    order, (run_key, starts, counts, own) = dsmc._cell_table(
+        xs, [np.empty_like(x) for x in xs], 2.4e-6)
+    _, rank = np.unique(np.concatenate(cells), axis=0, return_inverse=True)
+    ens = np.repeat([0, 1], [len(c) for c in cells])
+    local = np.concatenate([np.arange(len(c)) for c in cells])
+    by_key = np.argsort(2 * rank + ens, kind="stable")
+    assert np.array_equal(order, local[by_key])
+    # one run per occupied (cell, ensemble), in that order
+    assert np.all(np.diff(run_key) > 0)
+    assert np.array_equal(np.repeat(np.arange(len(counts)), counts),
+                          np.unique((2 * rank + ens)[by_key],
+                                    return_inverse=True)[1])
+    assert np.array_equal(np.repeat(run_key & 1, counts), ens[by_key])
+    for e in (0, 1):
+        assert np.array_equal(own[e], np.flatnonzero(run_key & 1 == e))
+    assert np.array_equal(starts, np.cumsum(counts) - counts)
+
+
+def test_pair_selection_follows_no_time_counter():
+    """Self pairs are two distinct particles of one ensemble in one cell,
+    cross pairs one particle of each ensemble in one cell, and the mean
+    candidate count per cell is 0.5 n (n - 1) F (self) or n_a n_b F
+    (cross)."""
+    xs, cells = _fixed_cells()
+    _, runs = dsmc._cell_table(xs, [np.empty_like(x) for x in xs],
+                               2.4e-6)
+    run_key, _, counts, _ = runs
+    key_at = np.repeat(run_key, counts)       # (cell, ensemble) per position
+    cell_at = np.unique(key_at >> 1, return_inverse=True)[1]
+    n = np.array([[n0, n1] for _, n0, n1 in _POPULATION])
+    factor, draws = 0.37, 2000
+    for a, b, want in ((0, 0, 0.5 * n[:, 0] * (n[:, 0] - 1)),
+                       (1, 1, 0.5 * n[:, 1] * (n[:, 1] - 1)),
+                       (0, 1, 1.0 * n[:, 0] * n[:, 1])):
+        tally = np.zeros((draws, len(_POPULATION)))
+        for seed in range(draws):
+            sel = dsmc._select_pairs(_rng(seed), runs, a, b, factor)
+            if sel is None:
+                continue
+            pa, pb = sel
+            assert np.array_equal(cell_at[pa], cell_at[pb])
+            assert np.all(key_at[pa] & 1 == a) and np.all(key_at[pb] & 1 == b)
+            if a == b:
+                assert np.all(pa != pb)
+            tally[seed] = np.bincount(cell_at[pa], minlength=len(n))
+        mean = tally.mean(axis=0)
+        se = tally.std(axis=0, ddof=1) / math.sqrt(draws)
+        assert np.all(se[want * factor % 1 != 0] > 0)
+        assert np.all(np.abs(mean - want * factor) <= 4 * se + 1e-12)
+
+
 def _far_pair(x_a, x_b):
     """Two Rb atoms on the x axis of a 1 Hz trap, drifting slowly apart
     along y, with a cross section so large that sharing a cell for one
@@ -430,10 +505,9 @@ def test_mismatched_cross_sections_rejected():
     e1 = sample_equilibrium(_species(sc=SIG), 100, 1e-6, F0, rng)
     e2 = sample_equilibrium(_species(sc=2 * SIG, label="b"), 100, 1e-6, F0,
                             rng)
-    cfg = DsmcConfig(ensembles=(e1, e2), traps=(F0, F0), dt=3.2e-4,
-                     t_end=0.01, cell_size=2.4e-6, rng_seed=1)
     with pytest.raises(DomainError):
-        run(cfg)
+        DsmcConfig(ensembles=(e1, e2), traps=(F0, F0), dt=3.2e-4,
+                   t_end=0.01, cell_size=2.4e-6, rng_seed=1)
 
 
 def test_ensemble_validation():
