@@ -36,6 +36,7 @@ from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
 from .errors import DomainError, NoInteriorPeak
 
 SCAN_POINTS = 4096  # default grid for the numeric regime scan
+_TINY = np.finfo(float).tiny    # smallest positive normal float
 
 
 class Region(enum.Enum):
@@ -217,7 +218,8 @@ def critical_numbers(p: BudgetParams,
 
     All three follow from the N2^(1 - 3 alpha) scaling, so the ratios
     N2_a/N2_c and N2_b/N2_c depend only on eta and omega2/omega1.  Raises
-    NoInteriorPeak (propagated from buffer_psd_max) when 3 alpha <= 1.
+    NoInteriorPeak when 3 alpha <= 1, and DomainError when eta lies so
+    close to 3 that a result overflows or is not a positive normal float.
     """
     a3 = 3.0 * p.alpha
     if a3 <= 1.0:
@@ -231,9 +233,16 @@ def critical_numbers(p: BudgetParams,
     log_ratio_b = (3.0 * math.log(p.omega1_bar / p.omega2_bar)
                    + (a3 - 1.0) * math.log(a3 - 1.0) - a3 * math.log(a3))
     log_ratio_a = -a3 * math.log1p((p.omega2_bar / p.omega1_bar) ** 3)
-    n2_c = math.exp((log_k - math.log(threshold)) / (a3 - 1.0))
-    n2_b = n2_c * math.exp(log_ratio_b / (a3 - 1.0))
-    n2_a = n2_c * math.exp(log_ratio_a / (a3 - 1.0))
+    try:
+        n2_c = math.exp((log_k - math.log(threshold)) / (a3 - 1.0))
+        n2_b = n2_c * math.exp(log_ratio_b / (a3 - 1.0))
+        n2_a = n2_c * math.exp(log_ratio_a / (a3 - 1.0))
+    except OverflowError:
+        n2_a = n2_b = n2_c = math.inf
+    # every exponent above carries 1 / (3 alpha - 1)
+    if not all(_TINY <= n < math.inf for n in (n2_a, n2_b, n2_c)):
+        raise DomainError(f"eta = {p.eta:.6g} is too close to 3: N2_a, N2_b "
+                          "or N2_c over- or underflows")
     return n2_a, n2_b, n2_c
 
 
@@ -349,7 +358,8 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
     eta <= 3, where the closed forms have no interior peak and the cells
     are omitted as well) and closed_form_ordering.  The ratios are independent
     of the reference N1_ini and T_ini used internally; at those numbers N2_c
-    underflows for eta just above 3, which raises DomainError.
+    under- or overflows for eta just above 3, and so may the model curves
+    of a cell, which raises DomainError naming eta.
     """
     if trap_ratio <= 0:
         raise DomainError("trap_ratio must be positive")
@@ -364,17 +374,18 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
         except NoInteriorPeak:
             n2a = n2b = n2c = math.nan
             cells = ()
-        except OverflowError:       # N2_b overflows where N2_c underflows
-            n2c = 0.0
-        if n2c < np.finfo(float).tiny:     # as eta nears 3
-            raise DomainError(f"eta = {eta:.6g} is too close to 3: N2_c "
-                              "underflows at the reference numbers")
         boundaries.append({"eta": float(eta),
                            "n2a_over_n2c": n2a / n2c,
                            "n2b_over_n2c": n2b / n2c,
                            "closed_form_ordering": _closed_form_ordering(p)})
         for ratio in cells:
-            out = classify(ratio * n2c, p, threshold)
+            try:    # a tiny N2_c can overflow N1 / N2 in temperature_of
+                with np.errstate(over="raise"):
+                    out = classify(ratio * n2c, p, threshold)
+            except (FloatingPointError, OverflowError):
+                raise DomainError(f"eta = {eta:.6g} is too close to 3: the "
+                                  f"model overflows at N2 = {ratio:.6g} N2_c "
+                                  "and the reference numbers") from None
             rows.append({"eta": float(eta), "n2_over_n2c": float(ratio),
                          "region": out.region.value, "d1max": out.D1_max,
                          "d2max": out.D2_max, "dequal": out.D_equal})

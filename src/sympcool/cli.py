@@ -2,8 +2,9 @@
 
 Every run writes its outputs plus a manifest JSON recording the command
 line, a sha256 digest of the canonicalized config, the tool version, the
-seed, and the produced files.  For a fixed (config, seed, version) the
-data files are byte-identical; only the manifest's wall_time varies.
+seed, the produced files and, for traj, the solver's diagnostics.  For a
+fixed (config, seed, version) the data files are byte-identical; only the
+manifest's wall_time varies.
 
 Configs use unit-suffixed keys (B0_gauss, T_ini_uK, delta_um, dt_s, ...)
 and each section is read against one schema of `_Key` rows: unknown keys,
@@ -353,6 +354,8 @@ def _cmd_budget(args, cfg: dict, raw: str) -> dict:
         n2a, n2b, n2c = critical_numbers(params)
     except NoInteriorPeak:
         n2a = n2b = n2c = math.nan
+    except DomainError as exc:
+        raise ConfigError(f"config: {exc}", line=_line(raw, "config", "eta"))
     result = {"region": outcome.region.value, "d1max": outcome.D1_max,
               "d2max": outcome.D2_max, "dequal": outcome.D_equal,
               "n1_at_buffer_peak": outcome.N1_at_buffer_peak,
@@ -378,13 +381,14 @@ def _cmd_phase_diagram(args, cfg: dict, raw: str) -> dict:
         raise ConfigError("ratio must be positive and finite")
     eta_grid = np.linspace(args.eta_min, args.eta_max, args.eta_points)
     n2_grid = np.geomspace(args.n2_min, args.n2_max, args.n2_points)
-    try:    # N2_c falls as eta nears 3, so the smallest eta fails first
-        phase_diagram([args.eta_min], [], trap_ratio=args.ratio)
-    except DomainError as exc:
-        raise ConfigError(f"--eta-min {args.eta_min!r}: {exc}")
     try:
         table = phase_diagram(eta_grid, n2_grid, trap_ratio=args.ratio)
-    except DomainError:
+    except DomainError as exc:
+        # the errors that name eta come from an N2_c that runs off as eta
+        # nears 3, so the smallest eta, which phase_diagram takes first,
+        # fails first; any other means a cell's N2 reached N1_ini
+        if str(exc).startswith("eta = "):
+            raise ConfigError(f"--eta-min {args.eta_min!r}: {exc}")
         raise ConfigError(f"--n2-max {args.n2_max!r} is too large: a cell's "
                           "target number N2 = n2 * N2_c reaches the "
                           "diagram's reference buffer number")
@@ -460,6 +464,7 @@ def _cmd_traj(args, cfg: dict, raw: str) -> dict:
     traj_cfg = _build(TrajectoryConfig, kw, raw, "config", _TRAJ, cfg)
 
     points, audit = simulate_with_audit(traj_cfg)
+    args.diagnostics = {k: audit[k] for k in ("nfev", "rk_steps", "status")}
     events = detect_events(points, traj_cfg.bec_threshold)
     header = [f.name for f in fields(TrajectoryPoint)]
     name = f"traj.{args.format}"
@@ -572,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(name, func, help, config=("--config",), plot=False):
         sp = sub.add_parser(name, help=help)
-        sp.set_defaults(func=func, config=None)
+        sp.set_defaults(func=func, config=None, diagnostics=None)
         if config:
             sp.add_argument(*config, dest="config", required=True,
                             help="JSON config path")
@@ -642,7 +647,10 @@ def main(argv=None) -> int:
             "command": "sympcool " + " ".join(argv), "config": cfg,
             "config_digest": hashlib.sha256(canonical.encode()).hexdigest(),
             "tool_version": __version__, "seed": args.seed or 0,
-            "outputs": list(files), "wall_time": time.perf_counter() - t0})
+            "outputs": list(files),
+            **({} if args.diagnostics is None
+               else {"diagnostics": args.diagnostics}),
+            "wall_time": time.perf_counter() - t0})
         outdir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             (outdir / name).write_text(text, encoding="utf-8")

@@ -142,9 +142,19 @@ class DsmcResult:
 
 def kinetic_temperature(velocities: np.ndarray, mass: float) -> float:
     """Temperature from the velocity spread about the ensemble mean."""
-    v = np.asarray(velocities, dtype=float)
-    dv = v - v.mean(axis=0)
-    return float(mass * np.mean(np.sum(dv * dv, axis=1)) / (3.0 * K_B))
+    return _row_temperature(np.asarray(velocities, dtype=float).T, mass)
+
+
+def _row_temperature(v: np.ndarray, mass: float) -> float:
+    """kinetic_temperature of (3, n) velocity rows, without an (n, 3) copy.
+
+    The sums run in the order numpy takes for an (n, 3) C-ordered array:
+    the mean adds each row sequentially (cumsum), the squares add the three
+    components left to right, and np.mean adds the n results pairwise.
+    """
+    dv = v - (np.cumsum(v, axis=1)[:, -1] / v.shape[1])[:, None]
+    dv *= dv
+    return float(mass * np.mean((dv[0] + dv[1]) + dv[2]) / (3.0 * K_B))
 
 
 def total_energy(ens: ParticleEnsemble, trap: TrapFrequencies) -> float:
@@ -377,8 +387,7 @@ def run(cfg: DsmcConfig) -> DsmcResult:
     vc = cfg.cell_size ** 3
 
     def temperatures():
-        # (n, 3) row-major copies keep kinetic_temperature's summation order
-        return [kinetic_temperature(v.T.copy(), m) for v, m in zip(vs, masses)]
+        return [_row_temperature(v, m) for v, m in zip(vs, masses)]
 
     thermal = [math.sqrt(K_B * max(t, 1e-30) / m)
                for t, m in zip(temperatures(), masses)]

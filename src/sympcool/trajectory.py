@@ -24,10 +24,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, OdeSolution
+from scipy.optimize import brentq
 
 from .budget import BudgetParams, Region, _region, temperature_of
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
@@ -37,6 +38,7 @@ from .errors import DomainError, StepFailure
 
 N1_FLOOR = 1.0          # atoms; the ramp terminates cleanly at this floor
 STALL_OVERLAP = 0.01    # overlap factor below which cooling counts as stalled
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -281,25 +283,76 @@ def _sample_grid(cfg: TrajectoryConfig, t_final: float) -> np.ndarray:
     return np.linspace(0.0, t_final, n)
 
 
-def _solver_stats(sol) -> dict:
-    return {"nfev": int(sol.nfev), "rk_steps": int(sol.t.size) - 1,
-            "status": int(sol.status)}
+class _Run(NamedTuple):
+    """One integration by _integrate."""
+
+    t: np.ndarray           # step times, the last one t_end or the stop root
+    t_events: list          # roots per event: the floor, then the crossings
+    sol: OdeSolution        # one dense-output interpolant per step
+    status: int             # 0: reached t_end, 1: stopped by a terminal event
+    nfev: int
 
 
-def _integrate(rhs, y0, cfg: TrajectoryConfig, events=()):
-    """solve_ivp from 0 to t_end with the module's RK45 settings, stopped
-    when the buffer number y[0] falls to N1_FLOOR."""
-    def hit_floor(t, y):
-        return y[0] - N1_FLOOR
-    hit_floor.terminal = True
-    hit_floor.direction = -1
+def _solver_stats(run: _Run) -> dict:
+    return {"nfev": int(run.nfev), "rk_steps": int(run.t.size) - 1,
+            "status": int(run.status)}
 
-    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, method="RK45", rtol=1e-8,
-                    atol=1e-12, max_step=cfg.dt_max, dense_output=True,
-                    events=(hit_floor, *events))
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    return sol
+
+def _hit_floor(t, y):
+    return y[0] - N1_FLOOR
+
+
+def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
+    """RK45 from 0 to t_end with the module's settings (rtol 1e-8, atol
+    1e-12, steps capped at dt_max), stopped when the buffer number y[0]
+    falls to N1_FLOOR; with stop_at_threshold also at the first upward
+    zero of a crossing function.
+
+    A plain loop over scipy's RK45 stepper that keeps solve_ivp's rules
+    (dense output, no t_eval), so every float equals solve_ivp's: an event
+    fires when its function reaches zero within a step in its direction,
+    its root is brentq on that step's interpolant, and a terminal root ends
+    the run there.
+    """
+    events = (_hit_floor, *crossings)
+    terminal = (True,) + (cfg.stop_at_threshold,) * len(crossings)
+    solver = RK45(rhs, 0.0, y0, float(cfg.t_end), rtol=1e-8, atol=1e-12,
+                  max_step=cfg.dt_max)
+    ts, interpolants = [0.0], []
+    t_events: list[list[float]] = [[] for _ in events]
+    g = [ev(0.0, y0) for ev in events]
+    status = None
+    while status is None:
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepFailure(message)
+        status = 0 if solver.status == "finished" else None
+        t_old, t = solver.t_old, solver.t
+        sol = solver.dense_output()
+        interpolants.append(sol)
+        g_new = [ev(t, solver.y) for ev in events]
+        # the floor fires on the way down, the crossings on the way up
+        active = [i for i, (a, b) in enumerate(zip(g, g_new))
+                  if (a >= 0 >= b if i == 0 else a <= 0 <= b)]
+        hits = sorted((brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old,
+                              t, xtol=4 * _EPS, rtol=4 * _EPS), i)
+                      for i in active)
+        stop = next((k for k, (_, i) in enumerate(hits) if terminal[i]),
+                    None)
+        if stop is not None:
+            hits = hits[:stop + 1]
+            status = 1
+            t = hits[-1][0]
+        for root, i in hits:
+            t_events[i].append(root)
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:     # a stop at the previous step
+            interpolants.pop()
+        else:
+            ts.append(t)
+    steps = np.array(ts)
+    return _Run(steps, t_events, OdeSolution(steps, interpolants), status,
+                solver.nfev)
 
 
 def _simulate_finite(cfg: TrajectoryConfig):
@@ -311,22 +364,19 @@ def _simulate_finite(cfg: TrajectoryConfig):
 
     def cross2(t, y):
         return model.d2(y[2]) - cfg.bec_threshold
-    cross1.terminal = cfg.stop_at_threshold
-    cross2.terminal = cfg.stop_at_threshold
-    cross1.direction = cross2.direction = 1
 
-    sol = _integrate(model.rhs, (s0.N1, s0.T1, s0.T2, 0.0), cfg,
+    run = _integrate(model.rhs, (s0.N1, s0.T1, s0.T2, 0.0), cfg,
                      (cross1, cross2))
-    t_final = float(sol.t[-1])
+    t_final = float(run.t[-1])
     ts = _sample_grid(cfg, t_final)
-    extra = [te[0] for te in sol.t_events if te.size]
+    extra = [te[0] for te in run.t_events if te]
     ts = np.unique(np.concatenate([ts, np.asarray(extra, dtype=float)]))
-    y = sol.sol(ts)
+    y = run.sol(ts)
     n1s = np.maximum(y[0], 0.0)
     pts = model.points(ts, n1s, y[1], y[2])
     audit = {"E_removed": y[3],
              "E_total": 3.0 * K_B * (n1s * y[1] + s0.N2 * y[2]),
-             "t": ts, **_solver_stats(sol)}
+             "t": ts, **_solver_stats(run)}
     return pts, audit
 
 
@@ -345,9 +395,9 @@ def _instant_n1_of_t(cfg: TrajectoryConfig, p: BudgetParams, model: _Model):
         n1 = max(y[0], N1_FLOOR)
         return (model.ndot(t, n1, temperature_of(min(n1, p.N1_ini), p)),)
 
-    sol = _integrate(rhs, (cfg.initial.N1,), cfg)
-    ts = _sample_grid(cfg, float(sol.t[-1]))
-    return ts, np.maximum(sol.sol(ts)[0], 0.0), _solver_stats(sol)
+    run = _integrate(rhs, (cfg.initial.N1,), cfg)
+    ts = _sample_grid(cfg, float(run.t[-1]))
+    return ts, np.maximum(run.sol(ts)[0], 0.0), _solver_stats(run)
 
 
 def _simulate_instant(cfg: TrajectoryConfig):
@@ -397,8 +447,8 @@ def simulate_with_audit(cfg: TrajectoryConfig):
     integrator tolerance; instant mode has None for both.  "nfev" (the
     right-hand-side evaluations), "rk_steps" (accepted Runge-Kutta steps)
     and "status" (0: reached t_end, 1: stopped by a terminal event) come
-    from solve_ivp; an instant-mode ramp runs no solver and reports 0, 0
-    and None.
+    from the RK45 loop of _integrate; an instant-mode ramp runs no solver
+    and reports 0, 0 and None.
     """
     if cfg.contact_mode == "instant":
         return _simulate_instant(cfg)

@@ -304,3 +304,32 @@ def test_phase_diagram_skips_low_eta_cells():
 def test_phase_diagram_rejects_bad_ratio():
     with pytest.raises(DomainError):
         phase_diagram([6.5], [0.5], trap_ratio=0.0)
+
+
+@pytest.mark.parametrize("eta, omega2", [(3.001, 200.0), (3.001, 888.6),
+                                         (3.01, 888.6), (3.02, 1.41 * 628.3)])
+def test_critical_numbers_refuse_eta_next_to_three(eta, omega2):
+    """Just above eta = 3 every exponent carries 1 / (3 alpha - 1): a
+    result that overflows, underflows to 0 or is subnormal is a
+    DomainError naming eta, not an OverflowError or a written zero."""
+    p = BudgetParams(eta=eta, N1_ini=1e8, N2=1e4, T_ini=300e-6,
+                     omega1_bar=628.3, omega2_bar=omega2)
+    with pytest.raises(DomainError, match=r"^eta = .* too close to 3"):
+        critical_numbers(p)
+
+
+def test_critical_numbers_normal_at_eta_3_05():
+    """A little further from 3 the results are small but normal floats and
+    come back unchanged."""
+    p = BudgetParams(eta=3.05, N1_ini=1e8, N2=1e4, T_ini=300e-6,
+                     omega1_bar=628.3, omega2_bar=1.41 * 628.3)
+    n2a, n2b, n2c = critical_numbers(p)
+    assert np.finfo(float).tiny < n2a < n2b < n2c < 1e-100
+
+
+def test_phase_diagram_refuses_cells_that_overflow():
+    """At eta 3.026 and ratio 0.3, N2_c is a normal float near 1e-300, but
+    N1 / N2 in the model curves of the cells overflows: a DomainError
+    naming eta instead of rows with dequal 0."""
+    with pytest.raises(DomainError, match=r"^eta = 3.026 is too close to 3"):
+        phase_diagram([3.026], [0.05, 1.0], trap_ratio=0.3)

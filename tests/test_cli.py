@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -171,6 +172,36 @@ def test_phase_diagram_rejects_eta_next_to_three(tmp_path, capsys, ratio,
     assert not out.exists()
 
 
+def test_phase_diagram_rejects_cells_that_overflow(tmp_path, capsys):
+    """At eta 3.026 and ratio 0.3 N2_c is a normal float near 1e-300, but
+    the cells' model curves overflow: a config error naming --eta-min,
+    not rows with dequal 0, and nothing is written."""
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "--ratio", "0.3", "--eta-min", "3.026",
+                 "--eta-max", "3.026", "--eta-points", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sympcool: config error: --eta-min 3.026")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eta, omega2", [(3.001, 200.0), (3.001, 888.6),
+                                         (3.01, 888.6)])
+def test_budget_rejects_eta_next_to_three(tmp_path, capsys, eta, omega2):
+    """Critical numbers that overflow, or underflow to 0, are a config
+    error at the eta line, not a traceback or zeros written as values,
+    and nothing is written."""
+    path = tmp_path / "b.json"
+    cfg = write_config(path, {**README_BUDGET, "eta": eta,
+                              "omega2_bar_rad_per_s": omega2})
+    out = tmp_path / "out"
+    assert main(["budget", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"(line {_line_of(path, 'eta')})" in err
+    assert "too close to 3" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- contact
 
 def contact_state(tmp_path):
@@ -294,6 +325,28 @@ def test_traj_plot_script(tmp_path):
     assert "traj.csv" in gp
     manifest = read_json(tmp_path / "traj_manifest.json")
     assert "traj.gp" in manifest["outputs"]
+
+
+def test_traj_manifest_solver_diagnostics(tmp_path):
+    """The traj manifest carries nfev, rk_steps and status from the run's
+    audit: six RHS calls per RK45 step plus two at the start, at least
+    one step per dt_max; a ramp in instant mode runs no solver (0, 0 and
+    null)."""
+    ramp = {"model": "ramp", "times_s": [0.0, 10.0], "numbers": [1e6, 0.0]}
+    cases = (({"contact_mode": "finite", "t_end_s": 5.0}, "finite"),
+             ({"evaporation": ramp}, "ramp"))
+    found = {}
+    for over, name in cases:
+        cfg, _ = traj_config(tmp_path, **over)
+        assert main(["traj", "--config", cfg, "--out",
+                     str(tmp_path / name)]) == 0
+        found[name] = read_json(tmp_path / name / "traj_manifest.json")[
+            "diagnostics"]
+    assert found["ramp"] == {"nfev": 0, "rk_steps": 0, "status": None}
+    finite = found["finite"]
+    assert finite["status"] == 0
+    assert finite["rk_steps"] >= 100
+    assert finite["nfev"] == 6 * finite["rk_steps"] + 2
 
 
 def test_traj_rejects_unknown_evaporation(tmp_path, capsys):
@@ -465,8 +518,13 @@ def test_version_flag():
 
 
 def test_console_script_runs():
+    # the subprocess does not see pytest's pythonpath, so put src/ first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "sympcool.cli",
-                           "--version"], capture_output=True, text=True)
+                           "--version"], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip()
 
@@ -581,13 +639,16 @@ def _frozen_cases(tmp_path):
 
 def _file_digests(out):
     """sha256 of every file in out; a manifest is hashed without its
-    wall_time and command (which holds the --out path)."""
+    wall_time and command (which holds the --out path), and without the
+    traj solver diagnostics, which test_traj_manifest_solver_diagnostics
+    pins and which the digests below predate."""
     digests = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
         if path.name.endswith("_manifest.json"):
             manifest = json.loads(data)
             del manifest["wall_time"], manifest["command"]
+            manifest.pop("diagnostics", None)
             data = json.dumps(manifest, indent=2, sort_keys=True).encode()
         digests[f"{out.name}/{path.name}"] = hashlib.sha256(data).hexdigest()
     return digests

@@ -98,6 +98,22 @@ def test_kinetic_temperature_from_construction():
                                                                     rel=1e-9)
 
 
+def test_kinetic_temperature_sums_like_an_n_by_3_array():
+    """The (3, n) row form that run records with equals, bit for bit, the
+    numpy reductions of a C-ordered (n, 3) array it replaced."""
+    rng = _rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 30_000))
+        v = (rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1.0)
+             + rng.normal(size=3) * rng.uniform(0.0, 5.0))
+        dv = v - v.mean(axis=0)
+        want = float(MASS_RB87 * np.mean(np.sum(dv * dv, axis=1))
+                     / (3.0 * K_B))
+        rows = np.array(v.T, order="C")
+        assert kinetic_temperature(v, MASS_RB87) == want
+        assert dsmc._row_temperature(rows, MASS_RB87) == want
+
+
 # ------------------------------------------------------------- collisions
 
 def test_collide_pair_conserves_momentum_and_energy():

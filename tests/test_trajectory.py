@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from sympcool import (
     MASS_LI6,
@@ -31,9 +32,10 @@ from sympcool import (
     single_species_collision_rate,
     trap_frequencies,
 )
+from sympcool import trajectory
 from sympcool.constants import G_STANDARD
 from sympcool.errors import DomainError
-from sympcool.trajectory import region_of_events
+from sympcool.trajectory import N1_FLOOR, _sample_grid, region_of_events
 
 SIG = 1.4e-15
 F0 = TrapFrequencies.from_axes(2 * math.pi * 80, 2 * math.pi * 100,
@@ -573,3 +575,64 @@ def test_frozen_event_digest(make, digest, recording_math):
     ones recorded before the crossing scan, the instant-mode stop and the
     regime map were each written once."""
     assert _event_digest(make()) == digest
+
+
+# ------------------------------------------ RK45 loop against solve_ivp
+
+def _floor_leg():
+    """Rate-driven finite leg that drains the buffer to the one-atom
+    floor (the terminal floor event) long before t_end."""
+    s = _state(N1=1e4, N2=1e3, T1=1e-6, T2=1e-6, sigma=1e-17)
+    return TrajectoryConfig(initial=s, eta=4.0,
+                            evaporation_model=RateDriven(prefactor=50.0,
+                                                         sigma_self=SIG),
+                            t_end=5000.0, dt_max=2.0)
+
+
+def _solve_ivp_reference(rhs, y0, cfg, crossings):
+    """solve_ivp with the floor event and the crossings as events: the
+    call the trajectory module made before its own RK45 loop."""
+    def hit_floor(t, y):
+        return y[0] - N1_FLOOR
+    hit_floor.terminal, hit_floor.direction = True, -1
+    events = [hit_floor]
+    for f in crossings:
+        def ev(t, y, f=f):
+            return f(t, y)
+        ev.terminal, ev.direction = cfg.stop_at_threshold, 1
+        events.append(ev)
+    return solve_ivp(rhs, (0.0, cfg.t_end), y0, method="RK45", rtol=1e-8,
+                     atol=1e-12, max_step=cfg.dt_max, dense_output=True,
+                     events=events)
+
+
+# kinds: the events that fire, 0 the floor, 1 and 2 the D1 and D2 crossings
+@pytest.mark.parametrize("make, status, kinds", [
+    (lambda: _criterion_7_leg(56.0, 5.636e5, stop=False), 0, {2}),
+    (lambda: _criterion_7_leg(56.0, 5.636e5, stop=True), 1, {2}),
+    (_floor_leg, 1, {0}),
+    (_instant_rate_leg, 0, set()),
+], ids=["crossing_no_stop", "stop_at_threshold", "buffer_floor",
+        "instant_rate"])
+def test_rk45_loop_matches_solve_ivp(make, status, kinds, monkeypatch):
+    """The module's RK45 loop gives bit for bit what solve_ivp gives with
+    the same settings and events: step times, event roots, status, RHS
+    evaluations and the dense solution on the sample grid."""
+    calls, integrate = [], trajectory._integrate
+
+    def spy(rhs, y0, cfg, crossings=()):
+        run = integrate(rhs, y0, cfg, crossings)
+        calls.append((rhs, y0, cfg, crossings, run))
+        return run
+    monkeypatch.setattr(trajectory, "_integrate", spy)
+    audit = simulate_with_audit(make())[1]
+    (rhs, y0, cfg, crossings, run), = calls
+    ref = _solve_ivp_reference(rhs, y0, cfg, crossings)
+    assert run.status == ref.status == status
+    assert run.nfev == ref.nfev == audit["nfev"]
+    assert np.array_equal(run.t, ref.t)
+    assert {i for i, te in enumerate(run.t_events) if te} == kinds
+    assert [list(te) for te in ref.t_events] == run.t_events
+    ts = _sample_grid(cfg, float(ref.t[-1]))
+    assert np.array_equal(run.sol(ts), ref.sol(ts))
+    assert np.array_equal(run.sol(audit["t"]), ref.sol(audit["t"]))
