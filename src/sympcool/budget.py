@@ -17,10 +17,13 @@ Along that law the peak phase-space densities of the two species,
 
 admit a closed-form target endpoint D2_max = D2(N1=0), a closed-form
 buffer maximum at N1 = N2/(3 alpha - 1), and a closed-form crossing at
-N1 = N2 (omega2/omega1)^3.  Comparing those three numbers with the
-condensation threshold 2.612 partitions the (eta, N2) plane into cooling
-regimes; the boundaries expressed as ratios N2_a/N2_c, N2_b/N2_c depend
-only on eta and omega2/omega1.
+N1 = N2 (omega2/omega1)^3.  Where 3 alpha - 1 > (omega1/omega2)^3 the
+crossing comes before the buffer peak, and comparing those three numbers
+with the condensation threshold 2.612 partitions the (eta, N2) plane into
+cooling regimes; the boundaries expressed as ratios N2_a/N2_c, N2_b/N2_c
+depend only on eta and omega2/omega1.  Outside that ordering (the
+extrapolation zone) a numeric scan of both curves over the ramp orders
+the first threshold crossings in time instead.
 """
 
 from __future__ import annotations
@@ -131,6 +134,7 @@ class CoolingOutcome:
     D_equal: float
     N1_at_buffer_peak: float
     closed_form_ordering: bool
+    regime_path: str           # "closed_form" or "scan": what gave region
 
 
 def temperature_of(N1, p: BudgetParams):
@@ -276,41 +280,71 @@ def _upcross(n1: np.ndarray, d: np.ndarray, threshold: float, p: BudgetParams,
     return brentq(f, n1[i + 1], n1[i], xtol=1e-30, rtol=1e-15)
 
 
-def classify(N2: float, p: BudgetParams,
-             threshold: float = BEC_THRESHOLD,
-             scan_points: int = SCAN_POINTS) -> CoolingOutcome:
-    """Cooling regime for N2 target atoms, everything else taken from p.
+def _scan_region(p: BudgetParams, threshold: float, scan_points: int):
+    """Regime from a numeric scan of both model curves over the full ramp
+    N1: N1_ini -> 0, threshold crossings refined by Brent root finding and
+    ordered chronologically; valid in and outside the closed-form ordering.
 
-    The regime always comes from a numeric scan of both model curves over
-    the full ramp N1: N1_ini -> 0 (threshold crossings refined by Brent
-    root finding and ordered chronologically), which stays valid outside
-    the ordering the closed forms assume.  The reported decision numbers
-    use the closed forms whenever 3 alpha - 1 > (omega1/omega2)^3 and the
-    scan values otherwise.
+    Returns (region, n1, d1, d2), the last three the scan grid and the two
+    curves on it.
     """
-    p = replace(p, N2=float(N2))
-    ordering = _closed_form_ordering(p)
-
     n1 = _scan_grid(p, scan_points)
     d1, d2 = psd_curves(n1, p)
-
     # the ramp runs N1 downwards, so -N1 orders the crossings in time
     up1 = _upcross(n1, d1, threshold, p, which=0)
     up2 = _upcross(n1, d2, threshold, p, which=1)
     region = _region(None if up1 is None else -up1,
                      None if up2 is None else -up2)
+    return region, n1, d1, d2
 
+
+def classify(N2: float, p: BudgetParams,
+             threshold: float = BEC_THRESHOLD,
+             scan_points: int = SCAN_POINTS) -> CoolingOutcome:
+    """Cooling regime for N2 target atoms, everything else taken from p.
+
+    Where 3 alpha - 1 > (omega1/omega2)^3 the curves meet before the
+    buffer peaks, and the regime follows from the closed forms: the buffer
+    condenses first when D_equal exceeds the threshold, second when only
+    D1_max reaches it, and the target condenses when D2_max does.  That
+    holds whenever the target starts below the threshold, also when the
+    curves meet or the buffer peaks before the ramp starts.  The model
+    curves at the ramp's two ends tell; a target condensed from the start,
+    curves that overflow, and the extrapolation zone take the regime from
+    the numeric scan of both curves (_scan_region) instead.  The reported
+    decision numbers use the closed forms under the ordering and the scan
+    values otherwise; regime_path says which of the two gave the regime.
+    """
+    p = replace(p, N2=float(N2))
+    if not _closed_form_ordering(p):
+        region, n1, d1, d2 = _scan_region(p, threshold, scan_points)
+        d2_max = target_psd_max(p)
+        n1_peak, d1_max = _refine_peak(n1, int(np.argmax(d1)), p)
+        return CoolingOutcome(region=region, D1_max=d1_max, D2_max=d2_max,
+                              D_equal=_scan_crossing(n1, d1, d2, p),
+                              N1_at_buffer_peak=n1_peak,
+                              closed_form_ordering=False, regime_path="scan")
+
+    # both curves at the scan's first and last grid points: they raise, or
+    # turn non-finite, wherever the whole scan would
+    ends = psd_curves(np.array([p.N1_ini, 0.0]), p)
     d2_max = target_psd_max(p)
-    if ordering:
-        n1_peak, d1_max = buffer_psd_max(p)
-        d_eq = equal_psd(p)
+    n1_peak, d1_max = buffer_psd_max(p)
+    d_eq = equal_psd(p)
+    d2_start = ends[1][0]
+    if np.isfinite(ends).all() and d2_start < threshold:
+        # chronological ranks: the buffer reaches the threshold before the
+        # curves meet (0) or after they meet (2), the target after (1)
+        first1 = (0 if d_eq > threshold
+                  else 2 if d1_max >= threshold else None)
+        region = _region(first1, 1 if d2_max >= threshold else None)
+        path = "closed_form"
     else:
-        i = int(np.argmax(d1))
-        n1_peak, d1_max = _refine_peak(n1, i, p)
-        d_eq = _scan_crossing(n1, d1, d2, p)
+        region = _scan_region(p, threshold, scan_points)[0]
+        path = "scan"
     return CoolingOutcome(region=region, D1_max=d1_max, D2_max=d2_max,
                           D_equal=d_eq, N1_at_buffer_peak=n1_peak,
-                          closed_form_ordering=ordering)
+                          closed_form_ordering=True, regime_path=path)
 
 
 def _refine_peak(n1: np.ndarray, i: int, p: BudgetParams) -> tuple[float, float]:
@@ -352,19 +386,23 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
                   threshold: float = BEC_THRESHOLD) -> dict:
     """Regime table over an (eta, N2/N2_c) grid at fixed omega2/omega1.
 
-    Returns {"rows": [...], "boundaries": [...]}.  Each row is one grid
-    cell with keys eta, n2_over_n2c, region, d1max, d2max, dequal; each
-    boundary entry carries the ratios n2a_over_n2c / n2b_over_n2c (NaN for
-    eta <= 3, where the closed forms have no interior peak and the cells
-    are omitted as well) and closed_form_ordering.  The ratios are independent
-    of the reference N1_ini and T_ini used internally; at those numbers N2_c
-    under- or overflows for eta just above 3, and so may the model curves
-    of a cell, which raises DomainError naming eta.
+    Returns {"rows": [...], "boundaries": [...], "diagnostics": {...}}.
+    Each row is one grid cell with keys eta, n2_over_n2c, region, d1max,
+    d2max, dequal; each boundary entry carries the ratios n2a_over_n2c /
+    n2b_over_n2c (NaN for eta <= 3, where the closed forms have no interior
+    peak and the cells are omitted as well) and closed_form_ordering.  The
+    diagnostics count the cells whose regime came from the closed forms
+    (cells_closed_form) and from the numeric scan (cells_scanned), see
+    classify.  The ratios are independent of the reference N1_ini and T_ini
+    used internally; at those numbers N2_c under- or overflows for eta just
+    above 3, and so may the model curves of a cell, which raises
+    DomainError naming eta.
     """
     if trap_ratio <= 0:
         raise DomainError("trap_ratio must be positive")
     omega1 = 2.0 * math.pi * 100.0
     rows, boundaries = [], []
+    paths = {"closed_form": 0, "scan": 0}
     for eta in np.asarray(eta_grid, dtype=float):
         p = BudgetParams(eta=float(eta), N1_ini=1e8, N2=1e4, T_ini=300e-6,
                          omega1_bar=omega1, omega2_bar=trap_ratio * omega1)
@@ -386,7 +424,10 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
                 raise DomainError(f"eta = {eta:.6g} is too close to 3: the "
                                   f"model overflows at N2 = {ratio:.6g} N2_c "
                                   "and the reference numbers") from None
+            paths[out.regime_path] += 1
             rows.append({"eta": float(eta), "n2_over_n2c": float(ratio),
                          "region": out.region.value, "d1max": out.D1_max,
                          "d2max": out.D2_max, "dequal": out.D_equal})
-    return {"rows": rows, "boundaries": boundaries}
+    return {"rows": rows, "boundaries": boundaries,
+            "diagnostics": {"cells_closed_form": paths["closed_form"],
+                            "cells_scanned": paths["scan"]}}

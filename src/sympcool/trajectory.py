@@ -302,6 +302,22 @@ def _hit_floor(t, y):
     return y[0] - N1_FLOOR
 
 
+def _nan_outside_domain(rhs):
+    """rhs, but NaN in every component where it raises DomainError.
+
+    RK45 rejects a step whose error estimate is NaN and retries a shorter
+    one, so a trial stage that leaves the model's domain (T1 below zero as
+    a ramp drives N1 to the floor) shrinks the step instead of ending the
+    run; the terminal floor event then stops it.
+    """
+    def f(t, y):
+        try:
+            return rhs(t, y)
+        except DomainError:
+            return np.full(len(y), np.nan)
+    return f
+
+
 def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
     """RK45 from 0 to t_end with the module's settings (rtol 1e-8, atol
     1e-12, steps capped at dt_max), stopped when the buffer number y[0]
@@ -312,12 +328,13 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
     (dense output, no t_eval), so every float equals solve_ivp's: an event
     fires when its function reaches zero within a step in its direction,
     its root is brentq on that step's interpolant, and a terminal root ends
-    the run there.
+    the run there.  A trial stage outside the model's domain shrinks the
+    step (_nan_outside_domain).
     """
     events = (_hit_floor, *crossings)
     terminal = (True,) + (cfg.stop_at_threshold,) * len(crossings)
-    solver = RK45(rhs, 0.0, y0, float(cfg.t_end), rtol=1e-8, atol=1e-12,
-                  max_step=cfg.dt_max)
+    solver = RK45(_nan_outside_domain(rhs), 0.0, y0, float(cfg.t_end),
+                  rtol=1e-8, atol=1e-12, max_step=cfg.dt_max)
     ts, interpolants = [0.0], []
     t_events: list[list[float]] = [[] for _ in events]
     g = [ev(0.0, y0) for ev in events]

@@ -1,0 +1,70 @@
+"""Summary of paired benchmark runs (tools/bench_pairs.py) on synthetic
+run.py results."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = {"wall_s": "s", "peak_rss_mb": "MB"}
+
+
+def _run(wall, rss=90.0, failed=0, attempted=100, correct=True):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_summary_counts_pairs_and_quartiles():
+    parent = [_run(w) for w in (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7,
+                                1.8, 1.9)]
+    # lower in eight pairs, one tie, one higher
+    change = [_run(w) for w in (0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5,
+                                1.8, 2.0)]
+    change[0]["failed"] = 2
+    change[3]["correct"] = False
+    s = bench_pairs.summarize(parent, change, METRICS)
+    wall = s["wall_s"]
+    assert wall["unit"] == "s"
+    assert wall["parent"] == {"median": 1.45, "q1": 1.225, "q3": 1.675}
+    assert wall["change"]["median"] == pytest.approx(1.25)
+    assert wall["change_lower_in_pairs"] == "8/10"
+    assert wall["relative_change_of_median"] == round(1.25 / 1.45 - 1, 3)
+    assert wall["parent_runs"][0] == 1.0 and wall["change_runs"][-1] == 2.0
+    assert s["peak_rss_mb"]["change_lower_in_pairs"] == "0/10"  # all ties
+    assert s["failed"] == {"parent": "0/1000", "change": "2/1000"}
+    assert s["correct_every_run"] == {"parent": True, "change": False}
+
+
+def test_claim_needs_nine_pairs_and_a_gap_beyond_the_parent_spread():
+    parent = [_run(1.0 + 0.01 * i) for i in range(10)]
+    wins = bench_pairs.summarize(parent, [_run(0.8 + 0.01 * i)
+                                          for i in range(10)], METRICS)
+    assert bench_pairs.claim_verdict(wins, "wall_s")["result"].endswith(
+        ": met")
+    # lower in every pair, but by less than the parent's quartile spread
+    close = bench_pairs.summarize(parent, [_run(0.999 + 0.01 * i)
+                                           for i in range(10)], METRICS)
+    assert close["wall_s"]["change_lower_in_pairs"] == "10/10"
+    assert bench_pairs.claim_verdict(close, "wall_s")["result"].endswith(
+        "not met")
+    # a large gap, but lower in only eight pairs
+    mixed = [_run(0.8 + 0.01 * i) for i in range(8)] + [_run(2.0)] * 2
+    few = bench_pairs.summarize(parent, mixed, METRICS)
+    assert bench_pairs.claim_verdict(few, "wall_s")["result"].endswith(
+        "not met")
+
+
+def test_summary_rejects_unpaired_runs():
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([_run(1.0)], [], METRICS)
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("21-30") == list(range(21, 31))
+    assert bench_pairs.parse_seeds("31") == [31]

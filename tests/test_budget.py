@@ -9,8 +9,10 @@ from the closed forms and are pinned at rel 1e-12.
 import math
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from sympcool import (
     BudgetParams,
@@ -25,6 +27,7 @@ from sympcool import (
     target_psd_max,
     temperature_of,
 )
+from sympcool.budget import SCAN_POINTS, _closed_form_ordering, _scan_region
 from sympcool.constants import BEC_THRESHOLD, H_PLANCK, K_B, MASS_RB87
 from sympcool.errors import DomainError, NoInteriorPeak
 
@@ -238,6 +241,68 @@ def test_classify_returns_closed_form_numbers_when_ordered():
     assert out.D2_max == pytest.approx(target_psd_max(CANON), rel=1e-13)
     assert out.D_equal == pytest.approx(equal_psd(CANON), rel=1e-13)
     assert out.N1_at_buffer_peak == pytest.approx(n1_peak, rel=1e-13)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ratio=st.floats(0.6, 16.0), margin=st.floats(0.05, 8.0),
+       log_n1=st.floats(5.0, 10.0), log_t=st.floats(-6.0, -3.5),
+       f1=st.floats(30.0, 500.0), log_n2=st.floats(-3.0, 1.0))
+def test_closed_form_regime_matches_scan(ratio, margin, log_n1, log_t, f1,
+                                         log_n2):
+    """Over the ordering zone the region classify takes from the closed
+    forms is the scan's.  The scan resolves the buffer peak only to its
+    grid (a relative N2 of about 3 alpha h^2 / 8 for a step h in
+    log(N1 + N2)), so both use 65536 points, which keeps that below the
+    1e-6 kept from each critical number."""
+    w1 = 2 * math.pi * f1
+    p = BudgetParams(eta=3.0 + ratio ** -3 + margin, N1_ini=10 ** log_n1,
+                     N2=1.0, T_ini=10 ** log_t, omega1_bar=w1,
+                     omega2_bar=ratio * w1)
+    assert _closed_form_ordering(p)
+    try:
+        critical = critical_numbers(p)
+    except DomainError:         # eta so close to 3 that N2_c runs off
+        assume(False)
+    n2 = critical[2] * 10 ** log_n2
+    assume(n2 < p.N1_ini)
+    assume(all(abs(n2 / n - 1.0) >= 1e-6 for n in critical))
+    out = classify(n2, p, scan_points=65536)
+    region = _scan_region(replace(p, N2=n2), BEC_THRESHOLD, 65536)[0]
+    assert out.region is region
+
+
+def test_phase_diagram_refuses_the_cells_the_scan_refuses():
+    """Near eta = 3 with a stiff target trap the closed forms hold, and at
+    the diagram's reference numbers N1_ini / N2 overflows in the model
+    curves of the smallest cells: phase_diagram refuses exactly the cells
+    on which the scan overflows and writes the scan's region on the rest."""
+    eta, ratio = 3.03, 4.0
+    w1 = 2 * math.pi * 100.0
+    p = BudgetParams(eta=eta, N1_ini=1e8, N2=1e4, T_ini=300e-6,
+                     omega1_bar=w1, omega2_bar=ratio * w1)
+    assert _closed_form_ordering(p)
+    n2c = critical_numbers(p)[2]
+    cells = np.geomspace(1e-156, 1e-150, 13).tolist() + [1e-100, 1e-40, 0.5]
+    refused = 0
+    for r in cells:
+        try:
+            with np.errstate(over="raise"):
+                region = _scan_region(replace(p, N2=r * n2c), BEC_THRESHOLD,
+                                      SCAN_POINTS)[0]
+        except FloatingPointError:
+            refused += 1
+            with pytest.raises(DomainError,
+                               match=r"^eta = 3.03 is too close to 3"):
+                phase_diagram([eta], [r], trap_ratio=ratio)
+            # where overflow only warns, classify still gives the scan's
+            # region (overflowed grid points read 0, below the threshold)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert classify(r * n2c, p).region is _scan_region(
+                    replace(p, N2=r * n2c), BEC_THRESHOLD, SCAN_POINTS)[0]
+        else:
+            (row,) = phase_diagram([eta], [r], trap_ratio=ratio)["rows"]
+            assert row["region"] == region.value
+    assert 0 < refused < 13
 
 
 def test_scan_path_agrees_with_closed_forms():

@@ -104,6 +104,33 @@ def test_budget_no_interior_peak_emits_null(tmp_path):
     assert out["n2_a"] is None and out["n2_b"] is None
 
 
+def test_regime_path_diagnostics(tmp_path):
+    """The budget manifest names the path that gave the regime and the
+    phase-diagram manifest counts the cells of each; no data file carries
+    them.  A soft target trap (ratio 0.5, or 0.9 at eta 3.5) leaves the
+    closed-form ordering, where only the scan decides."""
+    w1 = 289.49564890835956
+    for path, w2 in (("closed_form", w1 * math.sqrt(2)), ("scan", 0.5 * w1)):
+        cfg = write_config(tmp_path / f"{path}.json",
+                           {"eta": 6.5, "N1_ini": 1e8, "N2": 1e4,
+                            "T_ini_uK": 300, "omega1_bar_rad_per_s": w1,
+                            "omega2_bar_rad_per_s": w2})
+        out = tmp_path / path
+        assert main(["budget", "--config", cfg, "--out", str(out)]) == 0
+        manifest = read_json(out / "budget_manifest.json")
+        assert manifest["diagnostics"] == {"regime_path": path}
+        assert "regime_path" not in (out / "budget_outcome.json").read_text()
+    out = tmp_path / "pd"
+    assert main(["phase-diagram", "--ratio", "0.9", "--eta-min", "3.5",
+                 "--eta-points", "3", "--n2-points", "4",
+                 "--out", str(out)]) == 0
+    manifest = read_json(out / "phase_diagram_manifest.json")
+    assert manifest["diagnostics"] == {"cells_closed_form": 8,
+                                       "cells_scanned": 4}
+    for name in manifest["outputs"]:
+        assert "cells_" not in (out / name).read_text()
+
+
 # ----------------------------------------------------------- phase diagram
 
 def test_phase_diagram_csv_example(tmp_path, monkeypatch):
@@ -639,9 +666,10 @@ def _frozen_cases(tmp_path):
 
 def _file_digests(out):
     """sha256 of every file in out; a manifest is hashed without its
-    wall_time and command (which holds the --out path), and without the
-    traj solver diagnostics, which test_traj_manifest_solver_diagnostics
-    pins and which the digests below predate."""
+    wall_time and command (which holds the --out path), and without its
+    diagnostics (traj solver statistics, budget and phase-diagram regime
+    paths), which test_traj_manifest_solver_diagnostics and
+    test_regime_path_diagnostics pin and which the digests below predate."""
     digests = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()

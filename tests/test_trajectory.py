@@ -137,8 +137,9 @@ def test_rhs_rejects_nonpositive_temperature(model, T1, T2):
 
 
 def test_audit_reports_solver_statistics():
-    """nfev, rk_steps and status come from solve_ivp: six stages per RK45
-    step plus the initial evaluations, one step per sample at most."""
+    """nfev, rk_steps and status come from the RK45 loop of _integrate:
+    six stages per RK45 step plus the initial evaluations, one step per
+    sample at most."""
     cfg = _hold(_state(), t_end=1.0, dt_max=0.01)
     pts, audit = simulate_with_audit(cfg)
     assert audit["status"] == 0
@@ -235,6 +236,23 @@ def test_finite_mode_terminates_at_buffer_floor():
     assert pts[-1].N1 <= 1.0 + 1e-9
     kinds = [e.kind for e in detect_events(pts)]
     assert "buffer_exhausted" in kinds
+
+
+@pytest.mark.parametrize("t_end", [12.0, 20.0, 30.0])
+def test_finite_ramp_to_zero_stops_at_buffer_floor(t_end):
+    """A ramp that takes N1 to 0 drives T1 towards 0 with it; a trial RK
+    stage past the floor would put T1 below zero, which the right-hand
+    side refuses.  The integrator shrinks that step instead of raising,
+    and the terminal floor event ends the run just before the ramp does."""
+    s = _state(N1=1e6, N2=1.44e4, T1=10e-6, T2=10e-6, sigma=2e-15)
+    ramp = RampDriven(times=(0.0, 10.0), numbers=(1e6, 0.0))
+    cfg = TrajectoryConfig(initial=s, eta=6.5, evaporation_model=ramp,
+                           t_end=t_end, dt_max=0.05)
+    pts, audit = simulate_with_audit(cfg)
+    assert audit["status"] == 1
+    assert pts[-1].t < 10.0
+    assert pts[-1].N1 == pytest.approx(N1_FLOOR, rel=1e-9)
+    assert all(p.T1 > 0 and p.T2 > 0 for p in pts)
 
 
 def test_stop_at_threshold_finite():

@@ -1,0 +1,210 @@
+"""Paired benchmark runs of a base commit and the working tree.
+
+    python3 tools/bench_pairs.py --out BENCH_11.json --change TEXT \
+        [--workload NAME ...] [--seeds 21-30] [--base HEAD] \
+        [--claim WORKLOAD:METRIC]
+
+Run from the repository root.  The base commit (default HEAD, the parent
+of an uncommitted change) is exported with `git archive` into a temporary
+directory; the working tree is the change.  For every workload and seed
+the script runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+once in each checkout, T being BENCHMARK.json's run_seconds, base first
+in even pairs and change first in odd ones, so that a drift of the
+host's speed falls on both sides alike.  Each side runs its own
+perfbench/ and src/.  The output file records the host, the Python,
+numpy and scipy versions, the non-blank line count of src/sympcool in
+each checkout and, per workload and end-to-end metric, both sides'
+median and quartiles (linear interpolation), the relative change of the
+median, in how many pairs the change was lower, and every run.  With
+--claim, a "claim" entry says whether the change is lower in at least
+nine of ten pairs and its median lies below the base's by more than the
+base's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 900
+
+
+def quartiles(values) -> dict:
+    q1, med, q3 = np.percentile(np.asarray(values, dtype=float),
+                                [25, 50, 75])
+    return {"median": round(float(med), 4), "q1": round(float(q1), 4),
+            "q3": round(float(q3), 4)}
+
+
+def summarize(base_runs: list[dict], change_runs: list[dict],
+              metrics: dict) -> dict:
+    """One workload's summary from paired run.py results.
+
+    base_runs[i] and change_runs[i] are the JSON results of pair i;
+    metrics maps each end-to-end metric to its unit.  A tie counts for
+    neither side in the pair count.
+    """
+    if len(base_runs) != len(change_runs) or not base_runs:
+        raise ValueError("need the same positive number of runs per side")
+    sides = {"parent": base_runs, "change": change_runs}
+    out = {
+        "failed": {side: f"{sum(r['failed'] for r in runs)}/"
+                         f"{sum(r['attempted'] for r in runs)}"
+                   for side, runs in sides.items()},
+        "correct_every_run": {side: all(r["correct"] for r in runs)
+                              for side, runs in sides.items()},
+    }
+    for name, unit in metrics.items():
+        values = {side: [round(r["metrics"][name]["value"], 4)
+                         for r in runs]
+                  for side, runs in sides.items()}
+        stats = {side: quartiles(v) for side, v in values.items()}
+        lower = sum(c < b for b, c in zip(values["parent"],
+                                          values["change"]))
+        out[name] = {
+            "unit": unit, **stats,
+            "relative_change_of_median": round(
+                stats["change"]["median"] / stats["parent"]["median"] - 1.0,
+                3),
+            "change_lower_in_pairs": f"{lower}/{len(base_runs)}",
+            "parent_runs": values["parent"], "change_runs": values["change"],
+        }
+    return out
+
+
+def claim_verdict(summary: dict, metric: str) -> dict:
+    """Lower in at least nine tenths of the pairs, and the median lower
+    than the parent's by more than the parent's interquartile range."""
+    m = summary[metric]
+    lower, pairs = map(int, m["change_lower_in_pairs"].split("/"))
+    parent, change = m["parent"], m["change"]
+    gap = parent["median"] - change["median"]
+    iqr = parent["q3"] - parent["q1"]
+    held = 10 * lower >= 9 * pairs and gap > iqr
+    return {"target": "lower in at least 9 of 10 pairs and the median "
+                      "below the parent's by more than the parent's "
+                      "interquartile range",
+            "result": f"lower in {lower}/{pairs} pairs, median "
+                      f"{m['relative_change_of_median']:+.1%}, median gap "
+                      f"{gap:.4g} against parent IQR {iqr:.4g} {m['unit']}: "
+                      + ("met" if held else "not met")}
+
+
+def src_lines(checkout: Path) -> int:
+    return sum(1 for path in sorted((checkout / "src" / "sympcool")
+                                    .rglob("*.py"))
+               for line in path.read_text(encoding="utf-8").splitlines()
+               if line.strip())
+
+
+def host() -> dict:
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        cpu = next((line.split(":", 1)[1].strip()
+                    for line in cpuinfo.read_text().splitlines()
+                    if line.startswith("model name")), cpu)
+    return {"cpu": cpu, "vcpus": os.cpu_count(), "os": platform.platform()}
+
+
+def export(commit: str, dest: Path) -> None:
+    """The files of commit, as git archive writes them, under dest."""
+    data = subprocess.run(["git", "archive", "--format=tar", commit],
+                          cwd=ROOT, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"run.py exited {proc.returncode} in {checkout} "
+                         f"on {workload} seed {seed}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def parse_seeds(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main() -> None:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    ap.add_argument("--change", required=True,
+                    help="one line saying what the change does")
+    ap.add_argument("--workload", action="append", choices=names,
+                    help="repeat for several; default every workload")
+    ap.add_argument("--seeds", default="21-30", help="FIRST-LAST or one seed")
+    ap.add_argument("--base", default="HEAD", help="commit to compare with")
+    ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims")
+    args = ap.parse_args()
+    workloads = args.workload or names
+    seeds = parse_seeds(args.seeds)
+    seconds = spec["run_seconds"]
+    metrics = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        base = Path(tmp) / "base"
+        export(args.base, base)
+        result = {
+            "change": args.change, "host": host(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "src.lines": {"parent": src_lines(base), "change": src_lines(ROOT)},
+            "method": f"python3 perfbench/run.py --workload W --seed S "
+                      f"--seconds {seconds} --trace 0, {len(seeds)} "
+                      f"alternating parent/change pairs per workload "
+                      f"(parent first in even pairs), seeds "
+                      f"{args.seeds}, parent {args.base} by git archive, "
+                      f"change the working tree, each side from its own "
+                      f"checkout; times in reference seconds; quartiles by "
+                      f"linear interpolation over the runs",
+            "workloads": {},
+        }
+        for workload in workloads:
+            runs = {"parent": [], "change": []}
+            for i, seed in enumerate(seeds):
+                order = (("parent", base), ("change", ROOT))
+                for side, checkout in order if i % 2 == 0 else order[::-1]:
+                    r = run_once(checkout, workload, seed, seconds)
+                    runs[side].append(r)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"correct={r['correct']} "
+                          f"failed={r['failed']}/{r['attempted']} "
+                          + " ".join(f"{k}={r['metrics'][k]['value']:.4g}"
+                                     for k in metrics), flush=True)
+            result["workloads"][workload] = summarize(
+                runs["parent"], runs["change"], metrics)
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        result["claim"] = {"metric": f"{workload} {metric}",
+                           **claim_verdict(result["workloads"][workload],
+                                           metric)}
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n",
+                              encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()
