@@ -192,10 +192,13 @@ def sample_equilibrium(species: SpeciesState, n: int, T: float,
 
 def _iso_directions(rng: np.random.Generator, k: int) -> np.ndarray:
     """k unit vectors uniform on the sphere, as a (3, k) array."""
-    z = 2.0 * rng.random(k) - 1.0
+    d = np.empty((3, k))
+    d[2] = 2.0 * rng.random(k) - 1.0
     phi = 2.0 * math.pi * rng.random(k)
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z])
+    np.cos(phi, out=d[0])
+    np.sin(phi, out=d[1])
+    d[:2] *= np.sqrt(np.maximum(1.0 - d[2] * d[2], 0.0))
+    return d
 
 
 def _speeds(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
@@ -212,7 +215,8 @@ def _scatter(va, vb, ma: float, mb: float, speed, rng: np.random.Generator):
     energy to round-off."""
     mtot = ma + mb
     vg = (ma * va + mb * vb) / mtot
-    d = _iso_directions(rng, len(speed)) * speed
+    d = _iso_directions(rng, len(speed))
+    d *= speed
     return vg + (mb / mtot) * d, vg - (ma / mtot) * d
 
 
@@ -274,18 +278,20 @@ def _cell_table(xs, scratch, cell: float):
     The cell coordinates are offset by their minimum over all ensembles,
     so the key (ix * ny + iy) * nz + iz is compact and ordered like (ix,
     iy, iz).  One ensemble bit and then the particle index are packed below
-    it: the packed keys are unique, so one plain sort orders the particles
-    by (cell, ensemble, index) whatever algorithm numpy picks.  Each run of
-    equal (cell, ensemble) keys holds one ensemble's particles in one cell.
-    Returns the particle index at each sorted position and the runs as
-    (keys, starts, lengths, indices of each ensemble's runs).  `scratch`
-    holds one (3, n) float buffer per ensemble.
+    it: the packed keys are unique, so one plain in-place sort of one key
+    buffer orders the particles by (cell, ensemble, index) whatever
+    algorithm numpy picks.  Each run of equal (cell, ensemble) keys holds
+    one ensemble's particles in one cell.  Returns the particle index at
+    each sorted position and the runs as (keys, starts, lengths, indices of
+    each ensemble's runs, or a slice of all runs for a lone ensemble).
+    `scratch` holds one (3, n) float buffer per ensemble.
     """
     floors = [np.floor(np.divide(x, cell, out=buf), out=buf)
               for x, buf in zip(xs, scratch)]
     lo = np.min([f.min(axis=1) for f in floors], axis=0)
     hi = np.max([f.max(axis=1) for f in floors], axis=0)
-    bits = (max(f.shape[1] for f in floors) - 1).bit_length()
+    sizes = [f.shape[1] for f in floors]
+    bits = (max(sizes) - 1).bit_length()
     if not np.all(np.abs(np.concatenate([lo, hi])) < 2.0 ** 62):
         raise DomainError(f"particle positions are not finite or lie "
                           f"beyond 2**62 cells of cell_size = {cell:.3g} m")
@@ -296,22 +302,25 @@ def _cell_table(xs, scratch, cell: float):
             f"per axis, too many for a 64-bit key with an ensemble bit and "
             f"{bits} particle-index bits; use a larger cell_size")
     offset = lo.astype(np.int64)[:, None]
-    keys = []
+    packed = np.empty(sum(sizes), dtype=np.int64)
+    end = 0
     for e, f in enumerate(floors):
         idx = f.astype(np.int64)
         idx -= offset
-        key = idx[0]
-        key *= span[1]
+        key = packed[end:end + sizes[e]]
+        end += sizes[e]
+        np.multiply(idx[0], span[1], out=key)
         key += idx[1]
         key *= span[2]
         key += idx[2]
         key <<= bits + 1            # the ensemble bit, then the index
-        key |= np.arange(e << bits, (e << bits) + f.shape[1])
-        keys.append(key)
-    packed = np.sort(np.concatenate(keys))
+        key |= np.arange(e << bits, (e << bits) + sizes[e])
+    packed.sort()
     run_key = packed >> bits
-    starts = np.flatnonzero(np.concatenate([[True],
-                                            run_key[1:] != run_key[:-1]]))
+    edge = np.empty(len(packed), dtype=bool)
+    edge[0] = True
+    np.not_equal(run_key[1:], run_key[:-1], out=edge[1:])
+    starts = np.flatnonzero(edge)
     counts = np.diff(np.append(starts, len(packed)))
     run_key = run_key[starts]
     # each ensemble's runs, found once per step; a lone ensemble owns all
@@ -332,22 +341,35 @@ def _select_pairs(rng, runs, a: int, b: int, factor: float):
     sorted order, with the no-time-counter count per cell: one rounding
     uniform per cell, then i, then j.  A self channel pairs two distinct
     particles of one run; a cross channel pairs a run of ensemble 0 with
-    the adjacent run of ensemble 1 in the same cell."""
+    the adjacent run of ensemble 1 in the same cell.  A self channel reads
+    0.5 k (k - 1) factor from a table over the occupancy k, evaluated in the
+    per-cell product's order; only cells that drew a candidate expand."""
     run_key, starts, counts, own = runs
     # gathers by index array: several times faster than by boolean mask
     if a == b:
         at = own[a]
-        na, sa = counts[at], starts[at]
-        nb, sb, half = na - 1, sa, 0.5
+        na = counts[at]
+        k = np.arange(na.max() + 1)
+        table = 0.5 * k * (k - 1) * factor
+        whole = table.astype(np.int64)
+        m = whole[na]
+        m += rng.random(len(na)) < (table - whole)[na]
     else:
         at = np.flatnonzero(run_key[1:] == (run_key[:-1] | 1))
-        na, sa = counts[at], starts[at]
-        nb, sb, half = counts[at + 1], starts[at + 1], 1.0
-    m_float = half * na * nb * factor
-    m = m_float.astype(np.int64)
-    m += rng.random(len(m_float)) < (m_float - m)
-    if not m.any():
+        na, nb = counts[at], counts[at + 1]
+        m_float = na * nb * factor
+        m = m_float.astype(np.int64)
+        m += rng.random(len(m_float)) < (m_float - m)
+    hit = np.flatnonzero(m)
+    if hit.size == 0:
         return None
+    m, na = m[hit], na[hit]
+    at = hit if isinstance(at, slice) else at[hit]
+    sa = starts[at]
+    if a == b:
+        nb, sb = na - 1, sa
+    else:                   # the partner run follows in the same cell
+        nb, sb = nb[hit], sa + na
     i_loc = _slots(rng, np.repeat(na, m))
     j_loc = _slots(rng, np.repeat(nb, m))
     if a == b:              # j skips i within their shared run
@@ -429,7 +451,8 @@ def run(cfg: DsmcConfig) -> DsmcResult:
             pa, pb = sel
             ia, ib = order[pa], order[pb]
             va, vb = vs[a], vs[b]
-            speed = _speeds(va[:, ia], vb[:, ib])
+            ga, gb = va[:, ia], vb[:, ib]
+            speed = _speeds(ga, gb)
             top = float(speed.max())
             acc = rng.random(len(speed)) * ch.vmax < speed
             ch.counts["candidates"] += len(speed)
@@ -446,8 +469,8 @@ def run(cfg: DsmcConfig) -> DsmcResult:
             if keep.size == 0:
                 continue
             ia, ib, speed = ia[keep], ib[keep], speed[keep]
-            va[:, ia], vb[:, ib] = _scatter(va[:, ia], vb[:, ib], masses[a],
-                                            masses[b], speed, rng)
+            va[:, ia], vb[:, ib] = _scatter(ga[:, keep], gb[:, keep],
+                                            masses[a], masses[b], speed, rng)
             collisions += weight * len(ia)
 
         if step % cfg.record_every == 0 or step == n_steps:
@@ -457,8 +480,9 @@ def run(cfg: DsmcConfig) -> DsmcResult:
     if lone_fraction > 0.5:
         warnings.warn(
             f"{100 * lone_fraction:.0f}% of test particles sat alone in "
-            "their collision cell on average; refine cell_size or add "
-            "particles", CellUnderflowWarning, stacklevel=2)
+            "their collision cell on average; use a larger cell_size (up "
+            "to a quarter of the smallest cloud size) or add particles",
+            CellUnderflowWarning, stacklevel=2)
     ens = tuple(ParticleEnsemble(sp, x.T, v.T, weight)
                 for sp, x, v in zip(species, xs, vs))
     return DsmcResult(times=np.asarray(times),

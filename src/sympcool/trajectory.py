@@ -390,6 +390,11 @@ def _simulate_finite(cfg: TrajectoryConfig):
     ts = np.unique(np.concatenate([ts, np.asarray(extra, dtype=float)]))
     y = run.sol(ts)
     n1s = np.maximum(y[0], 0.0)
+    if run.t_events[0]:
+        # the last sample is the floor root; the interpolant misses the
+        # floor there by the root's tolerance times dN1/dt (~1e-10 relative
+        # under a steep ramp), which would hide it from detect_events
+        n1s[-1] = N1_FLOOR
     pts = model.points(ts, n1s, y[1], y[2])
     audit = {"E_removed": y[3],
              "E_total": 3.0 * K_B * (n1s * y[1] + s0.N2 * y[2]),

@@ -28,7 +28,8 @@ from sympcool import (
 )
 from sympcool import dsmc
 from sympcool.constants import G_STANDARD, K_B
-from sympcool.errors import DomainError, InsufficientDecay
+from sympcool.errors import (CellUnderflowWarning, DomainError,
+                             InsufficientDecay)
 
 SIG = 1.4e-15
 F0 = TrapFrequencies.from_axes(2 * math.pi * 80, 2 * math.pi * 100,
@@ -339,6 +340,50 @@ def test_frozen_digest(make, digest):
     assert h.hexdigest() == digest
 
 
+# the config; per channel (candidates, accepted, overflows, dropped) and
+# physical collisions; the lone-particle fraction
+_FROZEN_COUNTERS = {
+    "two_species": (_frozen_two_species,
+                    {(0, 0): ((349, 115, 0, 0), 1150.0),
+                     (1, 1): ((2422, 770, 0, 1), 7690.0),
+                     (0, 1): ((3109, 968, 0, 1), 9670.0)},
+                    0.8403424999999999),
+    "one_species": (_frozen_one_species,
+                    {(0, 0): ((841, 271, 0, 0), 2710.0)},
+                    0.8877533333333338),
+}
+
+
+@ignore_underflow
+@pytest.mark.parametrize("name", sorted(_FROZEN_COUNTERS))
+def test_frozen_counters(name, recording_math):
+    """The counters test_frozen_digest does not hash: every channel's
+    diagnostics and collision count and the lone fraction, as recorded
+    before the collision step was rewritten for fewer array passes."""
+    make, channels, lone = _FROZEN_COUNTERS[name]
+    out = run(make())
+    assert out.diagnostics == {
+        key: dict(zip(("candidates", "accepted", "overflows", "dropped"), c))
+        for key, (c, _) in channels.items()}
+    assert out.channel_collisions == {key: n for key, (_, n)
+                                      in channels.items()}
+    assert out.lone_particle_fraction == lone
+
+
+def test_underflow_warning_advises_larger_cells():
+    """Lone particles come from cells too small for the density, so the
+    advice is to coarsen the grid (within the resolution limit) or to add
+    particles, not to refine it."""
+    e = sample_equilibrium(_species(), 200, 1.0e-6, F0, _rng(45))
+    cfg = DsmcConfig(ensembles=(e,), traps=(F0,), dt=3.2e-4, t_end=3.2e-3,
+                     cell_size=2.4e-6, rng_seed=46)
+    with pytest.warns(CellUnderflowWarning,
+                      match=r"use a larger cell_size \(up to a quarter of "
+                            r"the smallest cloud size\) or add particles"):
+        out = run(cfg)
+    assert out.lone_particle_fraction > 0.5
+
+
 @ignore_underflow
 def test_diagnostics_count_every_pair():
     out = run(_frozen_two_species())
@@ -440,6 +485,22 @@ def _far_pair(x_a, x_b):
                            velocities=vel)
     return DsmcConfig(ensembles=(ens,), traps=(trap,), dt=1e-4,
                       t_end=5e-4, cell_size=2.4e-6, rng_seed=3)
+
+
+@pytest.mark.parametrize("ia, ib, kept", [
+    # pair 1 is dropped on particle 0, so its particle 2 stays free for
+    # pair 2; pair 3 repeats particle 1 of pair 0
+    ([0, 0, 5, 1], [1, 2, 2, 3], [0, 2]),
+    ([4, 7, 9], [8, 3, 2], [0, 1, 2]),           # no particle repeats
+    ([3, 6, 6, 8, 1], [6, 3, 9, 9, 2], [0, 3, 4]),  # 9 stays free too
+    ([2], [5], [0]),
+])
+def test_dedup_keeps_first_pair_per_particle(ia, ib, kept):
+    """A pair dropped on one particle leaves its other particle free."""
+    keep = dsmc._dedup_pairs(np.array(ia, dtype=np.int64),
+                             np.array(ib, dtype=np.int64))
+    assert keep.dtype == np.int64
+    assert keep.tolist() == kept
 
 
 @ignore_underflow

@@ -255,6 +255,26 @@ def test_finite_ramp_to_zero_stops_at_buffer_floor(t_end):
     assert all(p.T1 > 0 and p.T2 > 0 for p in pts)
 
 
+def test_floor_stop_reports_buffer_exhausted():
+    """A steep ramp meets the floor at dN1/dt ~ -2e5 atoms/s, so the
+    solution at the located floor root misses N1_FLOOR by the root's time
+    tolerance times that slope (about 1e-10 relative).  The sample at the
+    root must still read the floor, and detect_events must report the stop
+    as buffer_exhausted."""
+    s = _state(N1=2.32e6, N2=2.07e4, T1=1.53e-6, T2=1.53e-6, sigma=2e-15)
+    ramp = RampDriven(times=(0.0, 12.8), numbers=(2.32e6, 0.0))
+    cfg = TrajectoryConfig(initial=s, eta=7.68, evaporation_model=ramp,
+                           t_end=20.0, dt_max=0.05)
+    pts, audit = simulate_with_audit(cfg)
+    assert audit["status"] == 1
+    assert pts[-1].t < 12.8
+    assert pts[-1].N1 == N1_FLOOR
+    events = detect_events(pts)
+    assert [e.kind for e in events] == ["bec1", "bec2", "buffer_exhausted"]
+    assert events[-1].t == pytest.approx(pts[-1].t, rel=1e-12)
+    assert events[-1].N1 == pytest.approx(N1_FLOOR, rel=1e-12)
+
+
 def test_stop_at_threshold_finite():
     """stop_at_threshold ends the run at the first condensation flag.
 
