@@ -24,6 +24,9 @@ cooling regimes; the boundaries expressed as ratios N2_a/N2_c, N2_b/N2_c
 depend only on eta and omega2/omega1.  Outside that ordering (the
 extrapolation zone) a numeric scan of both curves over the ramp orders
 the first threshold crossings in time instead.
+
+Only that scan's root finding uses scipy, imported where it runs, so the
+closed-form path never loads scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
 from .errors import DomainError, NoInteriorPeak
@@ -277,6 +279,7 @@ def _upcross(n1: np.ndarray, d: np.ndarray, threshold: float, p: BudgetParams,
     def f(x):
         return psd_curves(x, p)[which] - threshold
 
+    from scipy.optimize import brentq
     return brentq(f, n1[i + 1], n1[i], xtol=1e-30, rtol=1e-15)
 
 
@@ -378,6 +381,7 @@ def _scan_crossing(n1, d1, d2, p: BudgetParams) -> float:
         a, b = psd_curves(x, p)
         return a - b
 
+    from scipy.optimize import brentq
     x = brentq(f, n1[i + 1], n1[i], xtol=1e-30, rtol=1e-15)
     return psd_curves(x, p)[1]
 

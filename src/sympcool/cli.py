@@ -2,8 +2,9 @@
 
 Every run writes its outputs plus a manifest JSON recording the command
 line, a sha256 digest of the canonicalized config, the tool version, the
-seed, the produced files and, for traj, budget and phase-diagram, their
-diagnostics (solver statistics; which path gave the regime).  For a
+seed, the produced files and, for traj, budget, phase-diagram and dsmc,
+their diagnostics (solver statistics; which path gave the regime; DSMC
+collision counters and energy drift).  For a
 fixed (config, seed, version) the data files are byte-identical; only the
 manifest's wall_time varies.
 
@@ -34,7 +35,8 @@ from .budget import BudgetParams, classify, critical_numbers, phase_diagram
 from .constants import (AMU, GAUSS, GAUSS_PER_CM2, KILOGAUSS_PER_CM,
                         MASS_RB87, MICROKELVIN, MICROMETER, constants_table)
 from .contact import TwoGasState, _rates_of, single_species_collision_rate
-from .dsmc import DsmcConfig, fit_relaxation, sample_equilibrium
+from .dsmc import (DsmcConfig, fit_relaxation, sample_equilibrium,
+                   total_energy)
 from .dsmc import run as dsmc_run
 from .errors import (ConfigError, DomainError, InsufficientDecay,
                      NoInteriorPeak, RadialUnconfined, SympcoolError)
@@ -451,7 +453,7 @@ def _cmd_contact(args, cfg: dict, raw: str) -> dict:
             try:
                 s = replace(state, **changes)
             except DomainError as exc:
-                raise ConfigError(f"--sweep value {v!r}: {exc}")
+                raise ConfigError(f"--sweep value {float(v)}: {exc}")
             pair = _rates_of(s)
             rows.append([v, pair[0][2], *_rates(pair)])
         header = [var, "rho_z", "overlap", "gamma", "w", "inv_tau"]
@@ -525,6 +527,13 @@ def _cmd_dsmc(args, cfg: dict, raw: str) -> dict:
                                    "traps": tuple(freqs)},
                       raw, "config", _DSMC, cfg)
     result = dsmc_run(dsmc_cfg)
+    energy = [sum(e.weight * total_energy(e, f) for e, f in zip(ens, freqs))
+              for ens in (ensembles, result.ensembles)]
+    args.diagnostics = {
+        "channels": {f"{a}-{b}": counts
+                     for (a, b), counts in result.diagnostics.items()},
+        "lone_particle_fraction": result.lone_particle_fraction,
+        "relative_energy_drift": (energy[1] - energy[0]) / energy[0]}
 
     single = len(ensembles) == 1
     n_phys = [e.n * e.weight for e in ensembles]

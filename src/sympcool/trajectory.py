@@ -17,6 +17,10 @@ piecewise-linear N1(t) schedule.  Condensation flags latch when a species'
 peak phase-space density crosses the threshold; the stall flag latches
 when the cloud-overlap factor drops below 0.01 while evaporation is still
 removing atoms.
+
+Only the integration uses scipy (the RK45 stepper and its event roots),
+imported where it runs: finite mode integrates, and so does instant mode
+on a rate-driven schedule; an instant-mode ramp never loads scipy.
 """
 
 from __future__ import annotations
@@ -24,17 +28,18 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
-from scipy.optimize import brentq
 
 from .budget import BudgetParams, Region, _region, temperature_of
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
 from .contact import (TwoGasState, _pair_rates, _self_rate, _stiffness,
                       transfer_efficiency)
 from .errors import DomainError, StepFailure
+
+if TYPE_CHECKING:
+    from scipy.integrate import OdeSolution
 
 N1_FLOOR = 1.0          # atoms; the ramp terminates cleanly at this floor
 STALL_OVERLAP = 0.01    # overlap factor below which cooling counts as stalled
@@ -331,6 +336,9 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
     the run there.  A trial stage outside the model's domain shrinks the
     step (_nan_outside_domain).
     """
+    from scipy.integrate import RK45, OdeSolution
+    from scipy.optimize import brentq
+
     events = (_hit_floor, *crossings)
     terminal = (True,) + (cfg.stop_at_threshold,) * len(crossings)
     solver = RK45(_nan_outside_domain(rhs), 0.0, y0, float(cfg.t_end),

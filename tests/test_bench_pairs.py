@@ -68,3 +68,36 @@ def test_summary_rejects_unpaired_runs():
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("21-30") == list(range(21, 31))
     assert bench_pairs.parse_seeds("31") == [31]
+
+
+def test_cold_start_summary_takes_raw_medians_per_command():
+    parent = {"import": [0.70, 0.66, 0.68, 0.71, 0.65, 0.69, 0.67],
+              "traj": [0.90, 0.92, 0.88, 0.91, 0.89, 0.93, 0.87]}
+    change = {"import": [0.17, 0.16, 0.18, 0.15, 0.19, 0.14, 0.16],
+              "traj": [0.91, 0.90, 0.89, 0.92, 0.88, 0.94, 0.87]}
+    s = bench_pairs.cold_start_summary(parent, change)
+    assert list(s) == ["import", "traj"]
+    imp = s["import"]
+    assert (imp["unit"], imp["parent"], imp["change"]) == ("s", 0.68, 0.16)
+    assert imp["relative_change_of_median"] == round(0.16 / 0.68 - 1, 3)
+    assert imp["change_lower_in_pairs"] == "7/7"
+    assert imp["parent_runs"] == parent["import"]
+    assert imp["change_runs"] == change["import"]
+    # lower in the second and fifth pairs, tied in the last
+    assert s["traj"]["change_lower_in_pairs"] == "2/7"
+    assert s["traj"]["parent"] == s["traj"]["change"] == 0.9
+
+
+def test_cold_start_summary_rejects_unpaired_times():
+    with pytest.raises(ValueError):
+        bench_pairs.cold_start_summary({"import": [0.7, 0.6]},
+                                       {"import": [0.2]})
+
+
+def test_cold_start_commands_cover_import_and_the_readme_examples():
+    assert bench_pairs.COLD_STARTS >= 7
+    assert list(bench_pairs.COLD_COMMANDS) == [
+        "import", "trap", "budget", "phase-diagram", "contact", "traj"]
+    named = {arg for args in bench_pairs.COLD_COMMANDS.values()
+             for arg in args if arg.endswith(".json")}
+    assert named == set(bench_pairs.README_CONFIGS)

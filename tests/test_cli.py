@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from sympcool import MASS_RB87, constants_table
+from sympcool import MASS_RB87, constants_table, total_energy
 from sympcool.cli import main
 from sympcool.constants import K_B
 from sympcool.errors import SympcoolError
@@ -297,6 +297,17 @@ def test_contact_sweep_validation(tmp_path, capsys):
                  "--sweep", "T:abc:1:5"]) == 2
 
 
+def test_contact_sweep_error_prints_a_plain_float(tmp_path, capsys):
+    """A sweep value the state refuses is named as a plain float, not as
+    a numpy scalar's repr."""
+    cfg, _ = contact_state(tmp_path)
+    assert main(["contact", "--state", cfg, "--out", str(tmp_path),
+                 "--sweep", "T:0:1e-6:3"]) == 2
+    assert capsys.readouterr().err == (
+        "sympcool: config error: --sweep value 0.0: temperatures must be "
+        "positive\n")
+
+
 # ------------------------------------------------------------------- traj
 
 def traj_config(tmp_path, **over):
@@ -413,6 +424,39 @@ def test_dsmc_two_species_files(tmp_path):
     # far too short for two e-folds: the fit must decline, not lie
     assert summary["fitted_rate_per_s"] is None
     assert "fit_note" in summary
+
+
+def test_dsmc_manifest_diagnostics_match_the_run(tmp_path, monkeypatch):
+    """The dsmc manifest carries the run's per-channel counters, keyed
+    "a-b", its lone-particle fraction and the relative drift of the
+    weighted total energy, which no data file carries."""
+    import sympcool.cli as cli
+    seen = []
+
+    def recorded(cfg):
+        seen.append((cfg, cli_run(cfg)))
+        return seen[-1][1]
+
+    cli_run = cli.dsmc_run
+    monkeypatch.setattr(cli, "dsmc_run", recorded)
+    cfg, _ = dsmc_config(tmp_path)
+    assert main(["dsmc", "--config", cfg, "--out", str(tmp_path)]) == 0
+    (dsmc_cfg, result), = seen
+    diagnostics = read_json(tmp_path / "dsmc_manifest.json")["diagnostics"]
+    assert diagnostics["channels"] == {
+        f"{a}-{b}": counts for (a, b), counts in result.diagnostics.items()}
+    assert set(diagnostics["channels"]) == {"0-0", "1-1", "0-1"}
+    assert set(diagnostics["channels"]["0-1"]) == {
+        "candidates", "accepted", "dropped", "overflows"}
+    assert diagnostics["lone_particle_fraction"] \
+        == result.lone_particle_fraction
+    start, end = (sum(e.weight * total_energy(e, f)
+                      for e, f in zip(ens, dsmc_cfg.traps))
+                  for ens in (dsmc_cfg.ensembles, result.ensembles))
+    assert diagnostics["relative_energy_drift"] == (end - start) / start
+    assert abs(diagnostics["relative_energy_drift"]) < 1e-9
+    for name in ("dsmc.csv", "dsmc_summary.json"):
+        assert "relative_energy_drift" not in (tmp_path / name).read_text()
 
 
 def test_dsmc_rejects_mismatched_cross_sections(tmp_path, capsys):
@@ -544,14 +588,18 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def test_console_script_runs():
-    # the subprocess does not see pytest's pythonpath, so put src/ first
+def _python(*args):
+    """A fresh interpreter on args; it does not see pytest's pythonpath,
+    so src/ goes first on its PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "sympcool.cli",
-                           "--version"], capture_output=True, text=True,
-                          env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_console_script_runs():
+    proc = _python("-m", "sympcool.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip()
 
@@ -586,6 +634,66 @@ README_DSMC = {
                  "sigma_cross_m2": 1.4e-15}],
     "traps": [_DSMC_W, _DSMC_W], "dt_s": 3.2e-4, "t_end_s": 0.02,
     "cell_size_um": 2.4, "record_every": 20, "seed": 11}
+
+
+# a scan-path classify and a short finite trajectory: the calls that load
+# scipy; run in a fresh interpreter and, as the reference, in this one
+_SCIPY_CALLS = """
+import dataclasses
+from sympcool import (MASS_RB87, BudgetParams, RateDriven, TrajectoryConfig,
+                      TrapFrequencies, TwoGasState, classify,
+                      simulate_with_audit)
+w1 = 289.49564890835956
+scan = classify(1e4, BudgetParams(eta=6.5, N1_ini=1e8, N2=1e4,
+                                  T_ini=300e-6, omega1_bar=w1,
+                                  omega2_bar=0.5 * w1))
+f = TrapFrequencies.from_axes(628.3, 628.3, 628.3, gravity=0.0)
+state = TwoGasState(N1=1e6, N2=1e4, T1=10e-6, T2=12e-6, f1=f, f2=f,
+                    M1=MASS_RB87, M2=MASS_RB87, sigma12=2e-15, delta=0.0)
+points, audit = simulate_with_audit(TrajectoryConfig(
+    initial=state, eta=6.5, t_end=2.0, dt_max=0.05,
+    evaporation_model=RateDriven(prefactor=5.0, sigma_self=2e-15)))
+values = repr((scan, [dataclasses.astuple(p) for p in points],
+               audit["nfev"], audit["rk_steps"], audit["status"]))
+"""
+
+_COLD_START = """
+import json, sys
+import sympcool, sympcool.cli
+for argv in json.loads(sys.argv[1]):
+    assert sympcool.cli.main(argv) == 0, argv
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(scipy_modules()))
+""" + _SCIPY_CALLS + """
+print(json.dumps(scipy_modules()))
+print(values)
+"""
+
+
+def test_cold_start_loads_scipy_only_to_integrate_or_find_roots(tmp_path):
+    """Importing sympcool and running the README trap, closed-form budget
+    and contact sweep loads no scipy module; a scan-path classify and a
+    finite trajectory then load it on first use and return exactly what
+    they return in this process, where scipy was loaded up front."""
+    trap = write_config(tmp_path / "trap.json", README_TRAP)
+    budget = write_config(tmp_path / "budget.json", README_BUDGET)
+    state = write_config(tmp_path / "state.json", README_STATE)
+    out = str(tmp_path / "out")
+    runs = [["trap", "--config", trap, "--out", out],
+            ["budget", "--config", budget, "--out", out],
+            ["contact", "--state", state, "--sweep", "delta:0:40e-6:81",
+             "--out", out]]
+    proc = _python("-c", _COLD_START, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    before, after, values = proc.stdout.splitlines()
+    assert json.loads(before) == []
+    assert {"scipy.integrate", "scipy.optimize"} <= set(json.loads(after))
+    assert read_json(Path(out) / "budget_manifest.json")["diagnostics"] \
+        == {"regime_path": "closed_form"}
+    here: dict = {}
+    exec(_SCIPY_CALLS, here)
+    assert "regime_path='scan'" in values and values == here["values"]
 
 
 def _frozen_cases(tmp_path):
@@ -668,8 +776,10 @@ def _file_digests(out):
     """sha256 of every file in out; a manifest is hashed without its
     wall_time and command (which holds the --out path), and without its
     diagnostics (traj solver statistics, budget and phase-diagram regime
-    paths), which test_traj_manifest_solver_diagnostics and
-    test_regime_path_diagnostics pin and which the digests below predate."""
+    paths, dsmc counters and energy drift), which
+    test_traj_manifest_solver_diagnostics, test_regime_path_diagnostics
+    and test_dsmc_manifest_diagnostics_match_the_run pin and which the
+    digests below predate."""
     digests = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()

@@ -22,6 +22,13 @@ median, in how many pairs the change was lower, and every run.  With
 --claim, a "claim" entry says whether the change is lower in at least
 nine of ten pairs and its median lies below the base's by more than the
 base's interquartile range.
+
+Before the workloads, every side's cold start is timed: a fresh
+interpreter on `import sympcool, sympcool.cli`, and one on each README
+example of `trap`, `budget`, `phase-diagram`, `contact` and `traj`, each
+COLD_STARTS times, base first in even pairs.  One untimed run per side
+writes the bytecode caches first.  These are raw wall-clock seconds
+around the whole process, summarized per command by each side's median.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +50,44 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+COLD_STARTS = 7
+
+_W = {"omega_x_rad_per_s": 628.3, "omega_y_rad_per_s": 628.3,
+      "omega_z_rad_per_s": 628.3}
+# the README's example configs, by file name
+README_CONFIGS = {
+    "trap.json": {"B0_gauss": 56, "G_kG_per_cm": 1.0, "C_gauss_per_cm2": 56,
+                  "buffer": {"F": 1, "mF": -1}, "target": {"F": 2, "mF": 2}},
+    "budget.json": {"eta": 6.5, "N1_ini": 1e8, "N2": 1e4, "T_ini_uK": 300,
+                    "omega1_bar_rad_per_s": 628.3,
+                    "omega2_bar_rad_per_s": 888.6},
+    "state.json": {"N1": 1e6, "N2": 1e4, "T1_uK": 0.4, "T2_uK": 0.4,
+                   "M1_amu": 86.909, "M2_amu": 86.909, "sigma12_m2": 2e-15,
+                   "delta_um": 26, "trap1": _W, "trap2": _W},
+    "traj.json": {
+        "eta": 6.5, "contact_mode": "finite", "t_end_s": 30, "dt_max_s": 0.05,
+        "initial": {"N1": 1e6, "N2": 1e4, "T1_uK": 10, "T2_uK": 10,
+                    "M1_amu": 86.909, "M2_amu": 86.909, "sigma12_m2": 2e-15,
+                    "trap1": {**_W, "gravity_m_per_s2": 0},
+                    "trap2": {**_W, "gravity_m_per_s2": 0}},
+        "evaporation": {"model": "rate", "prefactor": 5,
+                        "sigma_self_m2": 2e-15}},
+}
+# timed commands: python's arguments, run in a directory holding the configs
+COLD_COMMANDS = {
+    "import": ["-c", "import sympcool, sympcool.cli"],
+    "trap": ["-m", "sympcool.cli", "trap", "--config", "trap.json",
+             "--out", "results"],
+    "budget": ["-m", "sympcool.cli", "budget", "--config", "budget.json"],
+    "phase-diagram": ["-m", "sympcool.cli", "phase-diagram", "--eta-min",
+                      "4", "--eta-max", "10", "--eta-points", "13",
+                      "--ratio", "1.414", "--out", "fig3.csv",
+                      "--plot-script"],
+    "contact": ["-m", "sympcool.cli", "contact", "--state", "state.json",
+                "--sweep", "delta:0:40e-6:81"],
+    "traj": ["-m", "sympcool.cli", "traj", "--config", "traj.json",
+             "--plot-script"],
+}
 
 
 def quartiles(values) -> dict:
@@ -84,6 +130,31 @@ def summarize(base_runs: list[dict], change_runs: list[dict],
             "change_lower_in_pairs": f"{lower}/{len(base_runs)}",
             "parent_runs": values["parent"], "change_runs": values["change"],
         }
+    return out
+
+
+def cold_start_summary(parent: dict, change: dict) -> dict:
+    """Per command, each side's median of its raw cold-start seconds, the
+    relative change of the median, in how many pairs the change was
+    faster, and every time; parent and change map a command to its
+    times, pair i being the i-th of each."""
+    out = {}
+    for name, base_times in parent.items():
+        change_times = change[name]
+        if len(base_times) != len(change_times) or not base_times:
+            raise ValueError("need the same positive number of cold starts "
+                             "per side")
+        medians = {side: round(float(np.median(times)), 4)
+                   for side, times in (("parent", base_times),
+                                       ("change", change_times))}
+        lower = sum(c < b for b, c in zip(base_times, change_times))
+        out[name] = {
+            "unit": "s", **medians,
+            "relative_change_of_median": round(
+                medians["change"] / medians["parent"] - 1.0, 3),
+            "change_lower_in_pairs": f"{lower}/{len(base_times)}",
+            "parent_runs": [round(t, 4) for t in base_times],
+            "change_runs": [round(t, 4) for t in change_times]}
     return out
 
 
@@ -142,6 +213,48 @@ def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def cold_start(checkout: Path, workdir: Path, args: list[str]) -> float:
+    """Raw wall seconds of one fresh interpreter on args in workdir, with
+    checkout/src first on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(checkout / "src"), os.environ.get("PYTHONPATH"))))}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=workdir, env=env,
+                          capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"{' '.join(args)} exited {proc.returncode} with "
+                         f"{checkout}/src")
+    return elapsed
+
+
+def cold_starts(sides: dict[str, Path], tmp: Path) -> dict:
+    """Cold-start times of every COLD_COMMANDS entry on both sides,
+    COLD_STARTS alternating pairs each, summarized by cold_start_summary."""
+    workdirs = {}
+    for side in sides:
+        workdirs[side] = tmp / f"cold_{side}"
+        workdirs[side].mkdir()
+        for name, obj in README_CONFIGS.items():
+            (workdirs[side] / name).write_text(json.dumps(obj),
+                                               encoding="utf-8")
+    times = {side: {name: [] for name in COLD_COMMANDS} for side in sides}
+    for name, args in COLD_COMMANDS.items():
+        for side, checkout in sides.items():     # writes the .pyc caches
+            cold_start(checkout, workdirs[side], args)
+        for i in range(COLD_STARTS):
+            order = list(sides.items())
+            for side, checkout in order if i % 2 == 0 else order[::-1]:
+                times[side][name].append(
+                    cold_start(checkout, workdirs[side], args))
+        print(f"cold start {name}: " + " ".join(
+            f"{side} median {np.median(t[name]):.3f} s"
+            for side, t in times.items()), flush=True)
+    return cold_start_summary(times["parent"], times["change"])
+
+
 def parse_seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -180,7 +293,11 @@ def main() -> None:
                       f"{args.seeds}, parent {args.base} by git archive, "
                       f"change the working tree, each side from its own "
                       f"checkout; times in reference seconds; quartiles by "
-                      f"linear interpolation over the runs",
+                      f"linear interpolation over the runs; cold_start in "
+                      f"raw seconds, {COLD_STARTS} alternating pairs per "
+                      f"command after one untimed run per side",
+            "cold_start": cold_starts({"parent": base, "change": ROOT},
+                                      Path(tmp)),
             "workloads": {},
         }
         for workload in workloads:
