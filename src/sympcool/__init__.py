@@ -30,7 +30,7 @@ from .physics import (SpeciesState, TrapConfig, TrapFrequencies,
                       trap_frequencies)
 from .trajectory import (RampDriven, RateDriven, TrajectoryConfig,
                          TrajectoryEvent, TrajectoryPoint, detect_events,
-                         region_from_events, simulate, simulate_with_audit)
+                         region_from_events, simulate_with_audit)
 
 __version__ = "0.1.0"
 
@@ -49,8 +49,7 @@ __all__ = [
     "interspecies_collision_rate", "interspecies_thermalization_rate",
     "kinetic_temperature", "overlap_factor", "phase_diagram",
     "phase_space_density", "psd_curves", "region_from_events",
-    "rms_sizes", "run", "sample_equilibrium", "simulate",
-    "simulate_with_audit", "single_species_collision_rate",
-    "target_psd_max", "temperature_of", "total_energy",
-    "transfer_efficiency", "trap_frequencies",
+    "rms_sizes", "run", "sample_equilibrium", "simulate_with_audit",
+    "single_species_collision_rate", "target_psd_max", "temperature_of",
+    "total_energy", "transfer_efficiency", "trap_frequencies",
 ]

@@ -38,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
-from .errors import DomainError, NoInteriorPeak
+from .errors import (DomainError, NoInteriorPeak, require_finite,
+                     require_positive)
 
 SCAN_POINTS = 4096  # default grid for the numeric regime scan
 _TINY = np.finfo(float).tiny    # smallest positive normal float
@@ -77,20 +78,18 @@ class BudgetParams:
     psd_prefactor: float = PSD_PREFACTOR
 
     def __post_init__(self):
-        for name in ("eta", "N1_ini", "N2", "T_ini", "omega1_bar",
-                     "omega2_bar", "psd_prefactor"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        require_finite(eta=self.eta, N1_ini=self.N1_ini, N2=self.N2,
+                       T_ini=self.T_ini, omega1_bar=self.omega1_bar,
+                       omega2_bar=self.omega2_bar,
+                       psd_prefactor=self.psd_prefactor)
+        require_positive(N1_ini=self.N1_ini, N2=self.N2, T_ini=self.T_ini,
+                         omega1_bar=self.omega1_bar,
+                         omega2_bar=self.omega2_bar,
+                         psd_prefactor=self.psd_prefactor)
         if self.eta <= 2:
             raise DomainError("eta must exceed 2 (alpha > 0)")
-        if not (self.N1_ini > self.N2 > 0):
-            raise DomainError("need N1_ini > N2 > 0")
-        if self.T_ini <= 0:
-            raise DomainError("T_ini must be positive")
-        if self.omega1_bar <= 0 or self.omega2_bar <= 0:
-            raise DomainError("trap frequencies must be positive")
-        if self.psd_prefactor <= 0:
-            raise DomainError("psd_prefactor must be positive")
+        if not self.N1_ini > self.N2:
+            raise DomainError("need N1_ini > N2")
 
     @property
     def alpha(self) -> float:
@@ -217,8 +216,7 @@ def equal_psd(p: BudgetParams) -> float:
     return target_psd_max(p) * (1.0 + r3) ** (-3.0 * p.alpha)
 
 
-def critical_numbers(p: BudgetParams,
-                     threshold: float = BEC_THRESHOLD) -> tuple[float, float, float]:
+def critical_numbers(p: BudgetParams) -> tuple[float, float, float]:
     """Target numbers (N2_a, N2_b, N2_c) where D_equal, D1_max and D2_max
     respectively hit the condensation threshold.
 
@@ -240,7 +238,7 @@ def critical_numbers(p: BudgetParams,
                    + (a3 - 1.0) * math.log(a3 - 1.0) - a3 * math.log(a3))
     log_ratio_a = -a3 * math.log1p((p.omega2_bar / p.omega1_bar) ** 3)
     try:
-        n2_c = math.exp((log_k - math.log(threshold)) / (a3 - 1.0))
+        n2_c = math.exp((log_k - math.log(BEC_THRESHOLD)) / (a3 - 1.0))
         n2_b = n2_c * math.exp(log_ratio_b / (a3 - 1.0))
         n2_a = n2_c * math.exp(log_ratio_a / (a3 - 1.0))
     except OverflowError:
@@ -262,28 +260,27 @@ def _scan_grid(p: BudgetParams, n: int) -> np.ndarray:
     return n1
 
 
-def _upcross(n1: np.ndarray, d: np.ndarray, threshold: float, p: BudgetParams,
-             which: int):
+def _upcross(n1: np.ndarray, d: np.ndarray, p: BudgetParams, which: int):
     """First chronological upward threshold crossing of one model curve.
 
     n1 is in decreasing (time) order.  Returns the crossing N1, or None.
     """
-    if d[0] >= threshold:
+    if d[0] >= BEC_THRESHOLD:
         return n1[0]
-    above = d >= threshold
+    above = d >= BEC_THRESHOLD
     idx = np.flatnonzero(~above[:-1] & above[1:])
     if idx.size == 0:
         return None
     i = idx[0]
 
     def f(x):
-        return psd_curves(x, p)[which] - threshold
+        return psd_curves(x, p)[which] - BEC_THRESHOLD
 
     from scipy.optimize import brentq
     return brentq(f, n1[i + 1], n1[i], xtol=1e-30, rtol=1e-15)
 
 
-def _scan_region(p: BudgetParams, threshold: float, scan_points: int):
+def _scan_region(p: BudgetParams, scan_points: int):
     """Regime from a numeric scan of both model curves over the full ramp
     N1: N1_ini -> 0, threshold crossings refined by Brent root finding and
     ordered chronologically; valid in and outside the closed-form ordering.
@@ -294,15 +291,14 @@ def _scan_region(p: BudgetParams, threshold: float, scan_points: int):
     n1 = _scan_grid(p, scan_points)
     d1, d2 = psd_curves(n1, p)
     # the ramp runs N1 downwards, so -N1 orders the crossings in time
-    up1 = _upcross(n1, d1, threshold, p, which=0)
-    up2 = _upcross(n1, d2, threshold, p, which=1)
+    up1 = _upcross(n1, d1, p, which=0)
+    up2 = _upcross(n1, d2, p, which=1)
     region = _region(None if up1 is None else -up1,
                      None if up2 is None else -up2)
     return region, n1, d1, d2
 
 
 def classify(N2: float, p: BudgetParams,
-             threshold: float = BEC_THRESHOLD,
              scan_points: int = SCAN_POINTS) -> CoolingOutcome:
     """Cooling regime for N2 target atoms, everything else taken from p.
 
@@ -320,7 +316,7 @@ def classify(N2: float, p: BudgetParams,
     """
     p = replace(p, N2=float(N2))
     if not _closed_form_ordering(p):
-        region, n1, d1, d2 = _scan_region(p, threshold, scan_points)
+        region, n1, d1, d2 = _scan_region(p, scan_points)
         d2_max = target_psd_max(p)
         n1_peak, d1_max = _refine_peak(n1, int(np.argmax(d1)), p)
         return CoolingOutcome(region=region, D1_max=d1_max, D2_max=d2_max,
@@ -335,15 +331,15 @@ def classify(N2: float, p: BudgetParams,
     n1_peak, d1_max = buffer_psd_max(p)
     d_eq = equal_psd(p)
     d2_start = ends[1][0]
-    if np.isfinite(ends).all() and d2_start < threshold:
+    if np.isfinite(ends).all() and d2_start < BEC_THRESHOLD:
         # chronological ranks: the buffer reaches the threshold before the
         # curves meet (0) or after they meet (2), the target after (1)
-        first1 = (0 if d_eq > threshold
-                  else 2 if d1_max >= threshold else None)
-        region = _region(first1, 1 if d2_max >= threshold else None)
+        first1 = (0 if d_eq > BEC_THRESHOLD
+                  else 2 if d1_max >= BEC_THRESHOLD else None)
+        region = _region(first1, 1 if d2_max >= BEC_THRESHOLD else None)
         path = "closed_form"
     else:
-        region = _scan_region(p, threshold, scan_points)[0]
+        region = _scan_region(p, scan_points)[0]
         path = "scan"
     return CoolingOutcome(region=region, D1_max=d1_max, D2_max=d2_max,
                           D_equal=d_eq, N1_at_buffer_peak=n1_peak,
@@ -386,8 +382,7 @@ def _scan_crossing(n1, d1, d2, p: BudgetParams) -> float:
     return psd_curves(x, p)[1]
 
 
-def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
-                  threshold: float = BEC_THRESHOLD) -> dict:
+def phase_diagram(eta_grid, n2_grid, trap_ratio: float) -> dict:
     """Regime table over an (eta, N2/N2_c) grid at fixed omega2/omega1.
 
     Returns {"rows": [...], "boundaries": [...], "diagnostics": {...}}.
@@ -411,7 +406,7 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
         p = BudgetParams(eta=float(eta), N1_ini=1e8, N2=1e4, T_ini=300e-6,
                          omega1_bar=omega1, omega2_bar=trap_ratio * omega1)
         try:
-            n2a, n2b, n2c = critical_numbers(p, threshold)
+            n2a, n2b, n2c = critical_numbers(p)
             cells = np.asarray(n2_grid, dtype=float)
         except NoInteriorPeak:
             n2a = n2b = n2c = math.nan
@@ -423,7 +418,7 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float,
         for ratio in cells:
             try:    # a tiny N2_c can overflow N1 / N2 in temperature_of
                 with np.errstate(over="raise"):
-                    out = classify(ratio * n2c, p, threshold)
+                    out = classify(ratio * n2c, p)
             except (FloatingPointError, OverflowError):
                 raise DomainError(f"eta = {eta:.6g} is too close to 3: the "
                                   f"model overflows at N2 = {ratio:.6g} N2_c "

@@ -8,9 +8,12 @@ collision counters and energy drift).  For a
 fixed (config, seed, version) the data files are byte-identical; only the
 manifest's wall_time varies.
 
-Configs use unit-suffixed keys (B0_gauss, T_ini_uK, delta_um, dt_s, ...)
-and each section is read against one schema of `_Key` rows: unknown keys,
-wrong kinds, non-finite numbers and wrong signs fail with the key's line.
+Configs use unit-suffixed keys (B0_gauss, T_ini_uK, delta_um, dt_s, ...).
+A schema of `_Key` rows gives each section's keys, kinds, units and
+defaults; the library constructor that takes a value owns its domain
+(finite, positive, eta > 2, ...), and its DomainError is reported naming
+the key its message names, at that key's line.  The CLI's one own rule:
+a dsmc T_uK must be positive, as the summary's rates divide by it.
 Exit codes: 0 success, 2 config error, 1 runtime failure.
 """
 
@@ -54,15 +57,13 @@ _REQUIRED = object()
 
 class _Key(NamedTuple):
     """One config key: the constructor field it fills, its kind, the factor
-    from its unit into SI (None: no scaling), its default (_REQUIRED when
-    it must be given, None to leave the field to the constructor) and
-    whether it must be positive."""
+    from its unit into SI (None: no scaling) and its default (_REQUIRED
+    when it must be given, None to leave the field to the constructor)."""
     key: str
     field: str
     kind: str = "number"
     unit: float | None = None
     default: object = _REQUIRED
-    positive: bool = False
 
 
 _TYPES = {"number": (int, float), "int": int, "str": str, "bool": bool,
@@ -99,25 +100,17 @@ def _load_config(path) -> tuple[dict, str]:
     return cfg, raw
 
 
-def _is_finite_number(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+def _is_kind(v, kind: str) -> bool:
+    return (isinstance(v, _TYPES[kind])
+            and isinstance(v, bool) == (kind == "bool"))
 
 
 def _problem(row: _Key, v) -> str | None:
-    """Why value v does not fit its schema row, or None."""
+    """Why value v is not of its schema row's kind, or None."""
     if row.kind == "numbers":
-        if isinstance(v, list) and all(_is_finite_number(x) for x in v):
-            return None
-        return "must be an array of finite numbers"
-    if not isinstance(v, _TYPES[row.kind]) \
-            or isinstance(v, bool) != (row.kind == "bool"):
-        return f"must be a {row.kind}"
-    if isinstance(v, float) and not math.isfinite(v):
-        return "must be finite"
-    if row.positive and v <= 0:
-        return "must be positive"
-    return None
+        ok = isinstance(v, list) and all(_is_kind(x, "number") for x in v)
+        return None if ok else "must be an array of numbers"
+    return None if _is_kind(v, row.kind) else f"must be a {row.kind}"
 
 
 def _read(obj, schema, raw: str, where: str, known=None) -> dict:
@@ -154,8 +147,9 @@ def _read(obj, schema, raw: str, where: str, known=None) -> dict:
 
 
 def _build(ctor, kw: dict, raw: str, where: str, schema, obj: dict):
-    """ctor(**kw); a DomainError becomes a ConfigError at the line of the
-    first given key whose field the message names, else of the section."""
+    """ctor(**kw); a DomainError becomes a ConfigError naming the first
+    given key whose field the message names, at that key's line, else at
+    the line of the section."""
     try:
         return ctor(**kw)
     except DomainError as exc:
@@ -165,7 +159,8 @@ def _build(ctor, kw: dict, raw: str, where: str, schema, obj: dict):
             m = re.search(rf"\b{row.field}\b", message)
             if row.key in obj and m and m.start() < first:
                 key, first = row.key, m.start()
-        raise ConfigError(f"{where}: {message}", line=_line(raw, where, key))
+        named = where if key is None else f"key '{key}' in {where}"
+        raise ConfigError(f"{named}: {message}", line=_line(raw, where, key))
 
 
 def _jsonable(x):
@@ -222,40 +217,38 @@ _ROLES = ({"label": "buffer", "F": 1, "mF": -1},
 _SPECIES = (
     _Key("label", "label", "str", default=None),
     _Key("F", "F", "int", default=None), _Key("mF", "mF", "int", default=None),
-    _Key("mass_amu", "mass", unit=AMU, default=MASS_RB87 / AMU, positive=True),
+    _Key("mass_amu", "mass", unit=AMU, default=MASS_RB87 / AMU),
     _Key("sigma_self_m2", "sigma_self", default=0.0),
     _Key("sigma_cross_m2", "sigma_cross", default=0.0))
 
 _FREQS = (
-    _Key("omega_x_rad_per_s", "omega_x", positive=True),
-    _Key("omega_y_rad_per_s", "omega_y", positive=True),
-    _Key("omega_z_rad_per_s", "omega_z", positive=True),
+    _Key("omega_x_rad_per_s", "omega_x"),
+    _Key("omega_y_rad_per_s", "omega_y"),
+    _Key("omega_z_rad_per_s", "omega_z"),
     _Key("gravity_m_per_s2", "gravity", default=None))
 
 _STATE = (
-    _Key("N1", "N1", positive=True), _Key("N2", "N2", positive=True),
-    _Key("T1_uK", "T1", unit=MICROKELVIN, positive=True),
-    _Key("T2_uK", "T2", unit=MICROKELVIN, positive=True),
-    _Key("M1_amu", "M1", unit=AMU, positive=True),
-    _Key("M2_amu", "M2", unit=AMU, positive=True),
+    _Key("N1", "N1"), _Key("N2", "N2"),
+    _Key("T1_uK", "T1", unit=MICROKELVIN),
+    _Key("T2_uK", "T2", unit=MICROKELVIN),
+    _Key("M1_amu", "M1", unit=AMU), _Key("M2_amu", "M2", unit=AMU),
     _Key("sigma12_m2", "sigma12"),
     _Key("delta_um", "delta", unit=MICROMETER, default=None),
     _Key("trap1", "f1", "object"), _Key("trap2", "f2", "object"))
 
 _TRAP = (
-    _Key("B0_gauss", "B0", unit=GAUSS, positive=True),
-    _Key("G_kG_per_cm", "G", unit=KILOGAUSS_PER_CM, positive=True),
-    _Key("C_gauss_per_cm2", "C", unit=GAUSS_PER_CM2, positive=True),
+    _Key("B0_gauss", "B0", unit=GAUSS),
+    _Key("G_kG_per_cm", "G", unit=KILOGAUSS_PER_CM),
+    _Key("C_gauss_per_cm2", "C", unit=GAUSS_PER_CM2),
     _Key("gravity_m_per_s2", "gravity", default=None),
     _Key("buffer", "buffer", "object", default={}),
     _Key("target", "target", "object", default={}))
 
 _BUDGET = (
-    _Key("eta", "eta"), _Key("N1_ini", "N1_ini", positive=True),
-    _Key("N2", "N2", positive=True),
-    _Key("T_ini_uK", "T_ini", unit=MICROKELVIN, positive=True),
-    _Key("omega1_bar_rad_per_s", "omega1_bar", positive=True),
-    _Key("omega2_bar_rad_per_s", "omega2_bar", positive=True),
+    _Key("eta", "eta"), _Key("N1_ini", "N1_ini"), _Key("N2", "N2"),
+    _Key("T_ini_uK", "T_ini", unit=MICROKELVIN),
+    _Key("omega1_bar_rad_per_s", "omega1_bar"),
+    _Key("omega2_bar_rad_per_s", "omega2_bar"),
     _Key("psd_prefactor", "psd_prefactor", default=None))
 
 # evaporation.model picks the constructor and its rows; the keys of
@@ -270,9 +263,9 @@ _EVAPORATION = {"rate": (RateDriven, _EVAP_ROWS[1:3]),
                 "ramp": (RampDriven, _EVAP_ROWS[3:])}
 
 _TRAJ = (
-    _Key("eta", "eta"), _Key("t_end_s", "t_end", positive=True),
+    _Key("eta", "eta"), _Key("t_end_s", "t_end"),
     _Key("contact_mode", "contact_mode", "str", default="finite"),
-    _Key("dt_max_s", "dt_max", default=0.1, positive=True),
+    _Key("dt_max_s", "dt_max", default=0.1),
     _Key("bec_threshold", "bec_threshold", default=None),
     _Key("psd_prefactor", "psd_prefactor", default=None),
     _Key("stop_at_threshold", "stop_at_threshold", "bool", default=False),
@@ -282,14 +275,13 @@ _TRAJ = (
 # --seed, when given, stands in for the seed key
 _DSMC = (
     _Key("species", "species", "array"), _Key("traps", "traps", "array"),
-    _Key("dt_s", "dt", positive=True), _Key("t_end_s", "t_end", positive=True),
-    _Key("cell_size_um", "cell_size", unit=MICROMETER, positive=True),
+    _Key("dt_s", "dt"), _Key("t_end_s", "t_end"),
+    _Key("cell_size_um", "cell_size", unit=MICROMETER),
     _Key("seed", "rng_seed", "int"),
-    _Key("record_every", "record_every", "int", default=10, positive=True))
+    _Key("record_every", "record_every", "int", default=10))
 _ENSEMBLE = (
-    _Key("n_test", "n", "int", positive=True),
-    _Key("T_uK", "T", unit=MICROKELVIN, positive=True),
-    _Key("weight", "weight", default=1.0, positive=True))
+    _Key("n_test", "n", "int"), _Key("T_uK", "T", unit=MICROKELVIN),
+    _Key("weight", "weight", default=1.0))
 
 
 def _species_from(obj, raw: str, where: str, role: dict, known=None):
@@ -521,6 +513,11 @@ def _cmd_dsmc(args, cfg: dict, raw: str) -> dict:
         f = _freqs_from(trap, raw, f"config.traps[{i}]", gravity=0.0)
         ensembles.append(_build(sample_equilibrium, dict(
             species=spec, trap=f, rng=rng, **ens), raw, where, _ENSEMBLE, obj))
+        # the library samples a point cloud at T = 0, but the summary's
+        # analytic rates below divide by the initial temperature
+        if ens["T"] <= 0:
+            raise ConfigError(f"key 'T_uK' in {where} must be positive",
+                              line=_line(raw, where, "T_uK"))
         freqs.append(f)
         temps0.append(ens["T"])
     dsmc_cfg = _build(DsmcConfig, {**kw, "ensembles": tuple(ensembles),
@@ -587,23 +584,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(name, func, help, config=("--config",), plot=False):
+    def common(name, func, help, config=("--config",), table=True,
+               plot=False):
         sp = sub.add_parser(name, help=help)
-        sp.set_defaults(func=func, config=None, diagnostics=None)
+        sp.set_defaults(func=func, config=None, diagnostics=None, seed=None)
         if config:
             sp.add_argument(*config, dest="config", required=True,
                             help="JSON config path")
         sp.add_argument("--out", default=".", help="output directory" + (
             ", or a .csv/.json table path" if not config else ""))
-        sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if table:
+            sp.add_argument("--format", choices=("csv", "json"),
+                            default="csv")
         if plot:
             sp.add_argument("--plot-script", action="store_true",
                             help="also emit a gnuplot script")
         return sp
 
-    common("trap", _cmd_trap, "trap frequencies and sag")
-    common("budget", _cmd_budget, "cooling outcome for one config")
+    common("trap", _cmd_trap, "trap frequencies and sag", table=False)
+    common("budget", _cmd_budget, "cooling outcome for one config",
+           table=False)
     sp = common("phase-diagram", _cmd_phase_diagram,
                 "regime map over (eta, N2)", config=(), plot=True)
     for flag, kind, default in (
@@ -620,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
                          + ",".join(_SWEEP_FIELDS))
     common("traj", _cmd_traj, "two-temperature cooling trajectory",
            plot=True)
-    common("dsmc", _cmd_dsmc, "kinetic Monte Carlo cross-check")
+    sp = common("dsmc", _cmd_dsmc, "kinetic Monte Carlo cross-check")
+    sp.add_argument("--seed", type=int, help="seed override")
     return p
 
 

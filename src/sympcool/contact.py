@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import K_B
-from .errors import DomainError
+from .errors import DomainError, require_finite, require_positive
 from .physics import TrapFrequencies
 
 _PI2 = math.pi ** 2
@@ -55,15 +55,11 @@ class TwoGasState:
     delta: float           # m
 
     def __post_init__(self):
-        for name in ("N1", "N2", "T1", "T2", "M1", "M2", "sigma12", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        if self.N1 <= 0 or self.N2 <= 0:
-            raise DomainError("atom numbers must be positive")
-        if self.T1 <= 0 or self.T2 <= 0:
-            raise DomainError("temperatures must be positive")
-        if self.M1 <= 0 or self.M2 <= 0:
-            raise DomainError("masses must be positive")
+        require_finite(N1=self.N1, N2=self.N2, T1=self.T1, T2=self.T2,
+                       M1=self.M1, M2=self.M2, sigma12=self.sigma12,
+                       delta=self.delta)
+        require_positive(N1=self.N1, N2=self.N2, T1=self.T1, T2=self.T2,
+                         M1=self.M1, M2=self.M2)
         if self.sigma12 < 0:
             raise DomainError("sigma12 must be >= 0")
 
@@ -153,8 +149,8 @@ def equivalent_mass(M1: float, M2: float) -> float:
     the single-trap relaxation formula captures the slowdown of
     interspecies thermalization for mismatched masses.
     """
-    if M1 <= 0 or M2 <= 0:
-        raise DomainError("masses must be positive")
+    require_finite(M1=M1, M2=M2)
+    require_positive(M1=M1, M2=M2)
     return 8.0 * (M1 * M2) ** 2 / (M1 + M2) ** 3
 
 
@@ -181,8 +177,8 @@ def single_species_collision_rate(N: float, T: float, omega_bar: float,
     Equals n_bar sigma v_rel_bar with n_bar the density-weighted mean
     density and v_rel_bar the mean relative speed.
     """
-    if N <= 0 or T <= 0 or omega_bar <= 0 or mass <= 0:
-        raise DomainError("N, T, omega_bar and mass must be positive")
+    require_finite(N=N, T=T, omega_bar=omega_bar, sigma=sigma, mass=mass)
+    require_positive(N=N, T=T, omega_bar=omega_bar, mass=mass)
     if sigma < 0:
         raise DomainError("sigma must be >= 0")
     return _self_rate(N, T, omega_bar ** 3, sigma, mass)

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import K_B
-from .errors import CellUnderflowWarning, DomainError, InsufficientDecay
+from .errors import (CellUnderflowWarning, DomainError, InsufficientDecay,
+                     require_finite, require_positive)
 from .physics import SpeciesState, TrapFrequencies
 
 
@@ -55,8 +56,8 @@ class ParticleEnsemble:
             raise DomainError("positions/velocities must both be (n, 3)")
         if len(self.positions) < 2:
             raise DomainError("an ensemble needs at least 2 test particles")
-        if self.weight <= 0:
-            raise DomainError("weight must be positive")
+        require_finite(weight=self.weight)
+        require_positive(weight=self.weight)
 
     @property
     def n(self) -> int:
@@ -84,10 +85,9 @@ class DsmcConfig:
         if len(self.ensembles) not in (1, 2) \
                 or len(self.traps) != len(self.ensembles):
             raise DomainError("need 1 or 2 ensembles with matching traps")
-        if not all(0 < x < math.inf
-                   for x in (self.dt, self.t_end, self.cell_size)):
-            raise DomainError("dt, t_end and cell_size must be positive "
-                              "and finite")
+        require_finite(dt=self.dt, t_end=self.t_end, cell_size=self.cell_size)
+        require_positive(dt=self.dt, t_end=self.t_end,
+                         cell_size=self.cell_size)
         if not all(np.isfinite(e.positions).all()
                    and np.isfinite(e.velocities).all()
                    for e in self.ensembles):
@@ -177,9 +177,10 @@ def sample_equilibrium(species: SpeciesState, n: int, T: float,
     Maxwell-Boltzmann.  T = 0 collapses everything onto the centre.
     """
     if n < 2:
-        raise DomainError("need at least 2 particles")
+        raise DomainError("n must be at least 2")
+    require_finite(T=T)
     if T < 0:
-        raise DomainError("temperature must be >= 0")
+        raise DomainError("T must be >= 0")
     m = species.mass
     v_th = math.sqrt(K_B * T / m)
     omegas = np.array([trap.omega_x, trap.omega_y, trap.omega_z])

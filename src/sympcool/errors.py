@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class SympcoolError(Exception):
     """Base class for all package-specific errors."""
@@ -9,6 +11,20 @@ class SympcoolError(Exception):
 
 class DomainError(SympcoolError):
     """An input is outside the physical or numerical domain of an operation."""
+
+
+def require_finite(**values) -> None:
+    """DomainError "<name> must be finite" for the first NaN or infinity."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")
+
+
+def require_positive(**values) -> None:
+    """DomainError "<name> must be positive" for the first value not > 0."""
+    for name, value in values.items():
+        if not value > 0:
+            raise DomainError(f"{name} must be positive")
 
 
 class AntiTrapped(DomainError):

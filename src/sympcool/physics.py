@@ -18,11 +18,11 @@ different heights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .constants import G_STANDARD, MU_B
-from .errors import AntiTrapped, DomainError, RadialUnconfined
+from .errors import (AntiTrapped, DomainError, RadialUnconfined,
+                     require_finite, require_positive)
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,9 @@ class SpeciesState:
     sigma_cross: float     # m^2, elastic cross section against the partner
 
     def __post_init__(self):
-        for name in ("mass", "sigma_self", "sigma_cross"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{self.label}: {name} must be finite")
-        if self.mass <= 0:
-            raise DomainError(f"{self.label}: mass must be positive")
+        require_finite(mass=self.mass, sigma_self=self.sigma_self,
+                       sigma_cross=self.sigma_cross)
+        require_positive(mass=self.mass)
         if self.sigma_self < 0 or self.sigma_cross < 0:
             raise DomainError(f"{self.label}: cross sections must be >= 0")
         if self.trap_sign <= 0:
@@ -71,13 +69,8 @@ class TrapConfig:
     gravity: float = G_STANDARD
 
     def __post_init__(self):
-        for name in ("B0", "G", "C", "gravity"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        if self.B0 <= 0:
-            raise DomainError("B0 must be positive")
-        if self.G <= 0 or self.C <= 0:
-            raise DomainError("G and C must be positive")
+        require_finite(B0=self.B0, G=self.G, C=self.C, gravity=self.gravity)
+        require_positive(B0=self.B0, G=self.G, C=self.C)
 
 
 @dataclass(frozen=True)
@@ -97,10 +90,9 @@ class TrapFrequencies:
     @classmethod
     def from_axes(cls, omega_x: float, omega_y: float, omega_z: float,
                   gravity: float = G_STANDARD) -> "TrapFrequencies":
-        if not all(map(math.isfinite, (omega_x, omega_y, omega_z, gravity))):
-            raise DomainError("trap frequencies and gravity must be finite")
-        if min(omega_x, omega_y, omega_z) <= 0:
-            raise DomainError("all trap frequencies must be positive")
+        require_finite(omega_x=omega_x, omega_y=omega_y, omega_z=omega_z,
+                       gravity=gravity)
+        require_positive(omega_x=omega_x, omega_y=omega_y, omega_z=omega_z)
         return cls(
             omega_x=omega_x,
             omega_y=omega_y,

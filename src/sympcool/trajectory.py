@@ -36,7 +36,8 @@ from .budget import BudgetParams, Region, _region, temperature_of
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
 from .contact import (TwoGasState, _pair_rates, _self_rate, _stiffness,
                       transfer_efficiency)
-from .errors import DomainError, StepFailure
+from .errors import (DomainError, StepFailure, require_finite,
+                     require_positive)
 
 if TYPE_CHECKING:
     from scipy.integrate import OdeSolution
@@ -58,14 +59,11 @@ class RateDriven:
     sigma_self: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.prefactor):
-            raise DomainError("evaporation prefactor must be finite")
-        if self.prefactor <= 0:
-            raise DomainError("evaporation prefactor must be positive")
-        if self.sigma_self is not None and not math.isfinite(self.sigma_self):
-            raise DomainError("sigma_self must be finite when given")
-        if self.sigma_self is not None and self.sigma_self <= 0:
-            raise DomainError("sigma_self must be positive when given")
+        require_finite(prefactor=self.prefactor)
+        require_positive(prefactor=self.prefactor)
+        if self.sigma_self is not None:
+            require_finite(sigma_self=self.sigma_self)
+            require_positive(sigma_self=self.sigma_self)
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,10 @@ class RampDriven:
         n = np.asarray(self.numbers, dtype=float)
         if t.size < 2 or t.size != n.size:
             raise DomainError("ramp needs >= 2 (time, N1) knots")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(n))):
-            raise DomainError("ramp times and numbers must be finite")
+        if not np.isfinite(t).all():
+            raise DomainError("times must be finite")
+        if not np.isfinite(n).all():
+            raise DomainError("numbers must be finite")
         if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise DomainError("ramp times must increase from 0")
         if np.any(np.diff(n) > 0) or np.any(n < 0):
@@ -119,16 +119,14 @@ class TrajectoryConfig:
     stop_at_threshold: bool = False       # keep integrating past a BEC flag
 
     def __post_init__(self):
-        for name in ("eta", "t_end", "dt_max", "bec_threshold",
-                     "psd_prefactor"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        require_finite(eta=self.eta, t_end=self.t_end, dt_max=self.dt_max,
+                       bec_threshold=self.bec_threshold,
+                       psd_prefactor=self.psd_prefactor)
+        require_positive(t_end=self.t_end, dt_max=self.dt_max,
+                         bec_threshold=self.bec_threshold,
+                         psd_prefactor=self.psd_prefactor)
         if self.eta <= 2:
             raise DomainError("eta must exceed 2")
-        if self.t_end <= 0 or self.dt_max <= 0:
-            raise DomainError("t_end and dt_max must be positive")
-        if self.bec_threshold <= 0 or self.psd_prefactor <= 0:
-            raise DomainError("thresholds must be positive")
         if self.contact_mode not in ("finite", "instant"):
             raise DomainError("contact_mode must be 'finite' or 'instant'")
         if self.contact_mode == "instant" and self.initial.T1 != self.initial.T2:
@@ -219,7 +217,7 @@ class _Model:
     def _rate_ndot(self, t, N1, T1):
         """-prefactor * gamma1 * exp(-eta) * N1."""
         if T1 <= 0:
-            raise DomainError("N, T, omega_bar and mass must be positive")
+            raise DomainError("T must be positive")
         gamma1 = _self_rate(max(N1, N1_FLOOR), T1, self.omega1_bar3,
                             self.sigma1, self.M1)
         return self.neg_prefactor * gamma1 * self.exp_eta * N1
@@ -455,30 +453,19 @@ def _simulate_instant(cfg: TrajectoryConfig):
     return pts, audit
 
 
-def simulate(cfg: TrajectoryConfig) -> list[TrajectoryPoint]:
-    """Run one cooling trajectory and return its sampled points.
+def simulate_with_audit(cfg: TrajectoryConfig):
+    """(points, audit) of one cooling trajectory.
 
     Finite mode integrates the coupled ODEs with an adaptive embedded
     Runge-Kutta scheme (rtol 1e-8, atol 1e-12, steps capped at dt_max) and
-    terminates cleanly when the buffer is exhausted; with
-    stop_at_threshold it also stops at the first condensation flag,
-    otherwise it keeps going and the latched flags mark the points beyond
-    the model's validity.
-    """
-    pts, _ = simulate_with_audit(cfg)
-    return pts
-
-
-def simulate_with_audit(cfg: TrajectoryConfig):
-    """simulate() plus an audit dict.
-
-    "t" holds the sample times.  In finite mode, audit["E_total"][i] -
-    audit["E_total"][0] should equal audit["E_removed"][i] up to
-    integrator tolerance; instant mode has None for both.  "nfev" (the
-    right-hand-side evaluations), "rk_steps" (accepted Runge-Kutta steps)
-    and "status" (0: reached t_end, 1: stopped by a terminal event) come
-    from the RK45 loop of _integrate; an instant-mode ramp runs no solver
-    and reports 0, 0 and None.
+    stops cleanly when the buffer is exhausted; with stop_at_threshold
+    also at the first condensation flag, else the latched flags mark the
+    points beyond the model's validity.  audit["t"] holds the sample
+    times; in finite mode E_total[i] - E_total[0] equals E_removed[i] up
+    to integrator tolerance (instant mode: None for both).  "nfev",
+    "rk_steps" (accepted steps) and "status" (0: reached t_end, 1: stopped
+    by a terminal event) come from the RK45 loop of _integrate; an
+    instant-mode ramp runs no solver and reports 0, 0 and None.
     """
     if cfg.contact_mode == "instant":
         return _simulate_instant(cfg)

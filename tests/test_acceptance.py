@@ -35,7 +35,7 @@ from sympcool import (
     psd_curves,
     run,
     sample_equilibrium,
-    simulate,
+    simulate_with_audit,
     single_species_collision_rate,
     trap_frequencies,
 )
@@ -366,7 +366,7 @@ def _leg(b0_gauss, n2, stop):
         evaporation_model=RateDriven(prefactor=1.0, sigma_self=7e-16),
         contact_mode="finite", t_end=600.0, dt_max=0.1,
         stop_at_threshold=stop)
-    return simulate(cfg)
+    return simulate_with_audit(cfg)[0]
 
 
 def test_criterion_7_stall_vs_completion():
@@ -424,7 +424,7 @@ def test_criterion_8_instant_mode_on_closed_form():
                                          numbers=tuple(numbers)),
             contact_mode="instant", t_end=float(times[-1]) + 1.0,
             dt_max=0.25)
-        pts = simulate(cfg)
+        pts = simulate_with_audit(cfg)[0]
         p = BudgetParams(eta=eta, N1_ini=n1_ini, N2=n2, T_ini=t_ini,
                          omega1_bar=f.omega_bar, omega2_bar=f.omega_bar)
         for pt in pts:

@@ -267,7 +267,7 @@ def test_closed_form_regime_matches_scan(ratio, margin, log_n1, log_t, f1,
     assume(n2 < p.N1_ini)
     assume(all(abs(n2 / n - 1.0) >= 1e-6 for n in critical))
     out = classify(n2, p, scan_points=65536)
-    region = _scan_region(replace(p, N2=n2), BEC_THRESHOLD, 65536)[0]
+    region = _scan_region(replace(p, N2=n2), 65536)[0]
     assert out.region is region
 
 
@@ -287,8 +287,7 @@ def test_phase_diagram_refuses_the_cells_the_scan_refuses():
     for r in cells:
         try:
             with np.errstate(over="raise"):
-                region = _scan_region(replace(p, N2=r * n2c), BEC_THRESHOLD,
-                                      SCAN_POINTS)[0]
+                region = _scan_region(replace(p, N2=r * n2c), SCAN_POINTS)[0]
         except FloatingPointError:
             refused += 1
             with pytest.raises(DomainError,
@@ -298,7 +297,7 @@ def test_phase_diagram_refuses_the_cells_the_scan_refuses():
             # region (overflowed grid points read 0, below the threshold)
             with np.errstate(over="ignore", invalid="ignore"):
                 assert classify(r * n2c, p).region is _scan_region(
-                    replace(p, N2=r * n2c), BEC_THRESHOLD, SCAN_POINTS)[0]
+                    replace(p, N2=r * n2c), SCAN_POINTS)[0]
         else:
             (row,) = phase_diagram([eta], [r], trap_ratio=ratio)["rows"]
             assert row["region"] == region.value

@@ -304,8 +304,7 @@ def test_contact_sweep_error_prints_a_plain_float(tmp_path, capsys):
     assert main(["contact", "--state", cfg, "--out", str(tmp_path),
                  "--sweep", "T:0:1e-6:3"]) == 2
     assert capsys.readouterr().err == (
-        "sympcool: config error: --sweep value 0.0: temperatures must be "
-        "positive\n")
+        "sympcool: config error: --sweep value 0.0: T1 must be positive\n")
 
 
 # ------------------------------------------------------------------- traj
@@ -578,6 +577,27 @@ def test_blocked_output_dir_is_runtime_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "t.json", TRAP_56G)
     assert main(["trap", "--config", cfg, "--out", str(blocker)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    *((cmd, "--seed", "3")
+      for cmd in ("trap", "budget", "phase-diagram", "contact", "traj")),
+    ("trap", "--format", "json"), ("budget", "--format", "json")])
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, cmd,
+                                                      flag, value):
+    """--seed belongs to dsmc alone and --format to the subcommands that
+    write a table; anywhere else argparse refuses it (exit 2)."""
+    argv = [cmd, flag, value, "--out", str(tmp_path / "out")]
+    if cmd == "phase-diagram":
+        argv += ["--ratio", "1.414"]
+    else:
+        argv += ["--config", write_config(tmp_path / "c.json", TRAP_56G)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------ entry point
@@ -1102,10 +1122,27 @@ def test_parser_is_built_once():
 # values a mutation puts in place of a config value
 _MUTANTS = [math.nan, math.inf, -math.inf, 0, 0.0, -1.0, -7, "text", [],
             [1.0], {}, True, None]
-_FUZZ_RUNS = {"trap": (README_TRAP, []),
-              "budget": (README_BUDGET, []),
-              "contact": (README_STATE, ["--sweep", "delta:0:40e-6:5",
-                                         "--format", "json"])}
+# the instant-mode ramp of _frozen_cases' traj_ramp
+_RAMP_TRAJ = {
+    "eta": 6.5, "contact_mode": "instant", "t_end_s": 12.0, "dt_max_s": 0.25,
+    "initial": {"N1": 1e6, "N2": 2e4, "T1_uK": 2.0, "T2_uK": 2.0,
+                "M1_amu": 86.909180531, "M2_amu": 86.909180531,
+                "sigma12_m2": 2e-15, "delta_um": 0.0,
+                "trap1": {**_W, "gravity_m_per_s2": 0.0},
+                "trap2": {**_W, "gravity_m_per_s2": 0.0}},
+    "evaporation": {"model": "ramp", "times_s": [0.0, 10.0],
+                    "numbers": [1e6, 0.0]}}
+# name: (subcommand, config, extra flags); each run takes well under a
+# second: a finite traj of 0.5 s, a dsmc of 2 x 300 particles for 0.002 s
+_FUZZ_RUNS = {
+    "trap": ("trap", README_TRAP, []),
+    "budget": ("budget", README_BUDGET, []),
+    "contact": ("contact", README_STATE, ["--sweep", "delta:0:40e-6:5",
+                                          "--format", "json"]),
+    "traj": ("traj", {**README_TRAJ, "t_end_s": 0.5}, []),
+    "traj_ramp": ("traj", _RAMP_TRAJ, []),
+    "dsmc": ("dsmc", {**README_DSMC, "t_end_s": 0.002, "species": [
+        {**sp, "n_test": 300} for sp in README_DSMC["species"]]}, [])}
 
 
 def _paths(obj, prefix=()):
@@ -1143,8 +1180,8 @@ def test_fuzzed_configs_fail_on_a_line_or_write_strict_json(data):
     """A config with dropped or unknown keys, wrong types, non-finite,
     zero or negative values either fails with exit 2 and a line number or
     runs and writes only strict JSON."""
-    cmd = data.draw(st.sampled_from(sorted(_FUZZ_RUNS)))
-    base, extra = _FUZZ_RUNS[cmd]
+    cmd, base, extra = _FUZZ_RUNS[data.draw(st.sampled_from(
+        sorted(_FUZZ_RUNS)))]
     obj = base
     for _ in range(data.draw(st.integers(1, 3))):
         obj = _mutate(data.draw, obj)
@@ -1159,3 +1196,118 @@ def test_fuzzed_configs_fail_on_a_line_or_write_strict_json(data):
             assert code == 0, err.getvalue()
             for out in (Path(tmp) / "out").glob("*.json"):
                 _strict(out.read_text())
+
+
+# ---------------------------------------- bad values: exit code and line
+
+# each number of a _FUZZ_RUNS config, array items included, is replaced by
+# each of these; no tiny or huge positive value, which can ask for an
+# astronomic number of steps (dt_s = 1e-300)
+_BAD_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -1.0]
+# recorded before the constructors took over the finiteness and sign
+# checks from the CLI schema: the cases that run (exit 0), as
+# "run path value" ...
+_RUNS_FINE = {
+    "trap target.F 0",
+    "contact sigma12_m2 0", "contact sigma12_m2 0.0",
+    "contact delta_um 0", "contact delta_um 0.0", "contact delta_um -1.0",
+    "traj initial.sigma12_m2 0", "traj initial.sigma12_m2 0.0",
+    "traj_ramp initial.sigma12_m2 0", "traj_ramp initial.sigma12_m2 0.0",
+    "traj_ramp initial.delta_um 0", "traj_ramp initial.delta_um 0.0",
+    "traj_ramp initial.delta_um -1.0",
+    "traj_ramp evaporation.times_s[0] 0",
+    "traj_ramp evaporation.times_s[0] 0.0",
+    "traj_ramp evaporation.numbers[1] 0",
+    "traj_ramp evaporation.numbers[1] 0.0",
+    "dsmc species[0].sigma_self_m2 0", "dsmc species[0].sigma_self_m2 0.0",
+    "dsmc species[1].sigma_self_m2 0", "dsmc species[1].sigma_self_m2 0.0",
+    "dsmc seed 0",
+    *(f"{run} initial.{trap}.gravity_m_per_s2 {v}"
+      for run in ("traj", "traj_ramp") for trap in ("trap1", "trap2")
+      for v in ("0", "0.0", "-1.0"))}
+# ... and the cases that exit 2 at a line other than the value's (an
+# array item's line is its array's): the line of this key or section
+_ANCHORED_ELSEWHERE = {
+    # (F, mF) is not low-field seeking: F is named first
+    "trap buffer.mF 0": "buffer.F", "trap target.mF 0": "target.F",
+    # the ramp does not start at the initial buffer number
+    "traj_ramp evaporation.numbers[0] 0": "initial",
+    "traj_ramp evaporation.numbers[0] 0.0": "initial",
+    # a negative cross section, and two species that disagree on theirs
+    **{f"dsmc species[{i}].sigma_{which}_m2 -1.0": f"species[{i}]"
+       for i in (0, 1) for which in ("self", "cross")},
+    **{f"dsmc species[{i}].sigma_cross_m2 {v}": "species"
+       for i in (0, 1) for v in ("0", "0.0")}}
+
+
+def _keys(path: str) -> tuple:
+    """("species", 0, "T_uK") of "species[0].T_uK"."""
+    return tuple(int(k) if k.isdigit() else k
+                 for k in re.findall(r"[^.\[\]]+", path))
+
+
+def _numbers(obj, prefix=""):
+    """Path strings of every number in obj, array items included."""
+    items = obj.items() if isinstance(obj, dict) else (
+        (f"[{i}]", v) for i, v in enumerate(obj))
+    for key, value in items:
+        path = f"{prefix}{'.' if prefix and key[0] != '[' else ''}{key}"
+        if isinstance(value, (dict, list)):
+            yield from _numbers(value, path)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
+def _with(obj, keys: tuple, value):
+    """A copy of obj with the item at keys replaced; the JSON round trip
+    also splits dicts that obj shares between keys."""
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    return obj
+
+
+def _written_line(obj, keys: tuple) -> int:
+    """Line of the item at keys in obj as write_config lays it out."""
+    text = json.dumps(_with(obj, keys, "@@"), indent=2)
+    return text[:text.index('"@@"')].count("\n") + 1
+
+
+@pytest.mark.parametrize("run", sorted(_FUZZ_RUNS))
+def test_bad_values_keep_their_exit_code_and_line(tmp_path, run):
+    """NaN, +-inf, 0, 0.0 or -1.0 in place of any number of a config gives
+    the exit code and line recorded before the constructors became the
+    only owners of finiteness and sign: exit 2 at the value's line (an
+    array item's: its array's) with the key named in the message, unless
+    the case is listed above."""
+    cmd, base, extra = _FUZZ_RUNS[run]
+    cfg = tmp_path / "c.json"
+    found, want = {}, {}
+    for path in _numbers(base):
+        keys = _keys(path)
+        for value in _BAD_VALUES:
+            case = f"{run} {path} {value!r}"
+            write_config(cfg, _with(base, keys, value))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([cmd, "--config", str(cfg),
+                             "--out", str(tmp_path / "out"), *extra])
+            line = re.search(r"\(line (\d+)\)", err.getvalue())
+            found[case] = (code, line and int(line.group(1)))
+            if case in _RUNS_FINE:
+                want[case] = (0, None)
+                continue
+            if case in _ANCHORED_ELSEWHERE:
+                anchor = _keys(_ANCHORED_ELSEWHERE[case])
+            else:
+                anchor = keys[:-1] if isinstance(keys[-1], int) else keys
+            want[case] = (2, _written_line(base, anchor))
+            name = next(k for k in reversed(anchor) if isinstance(k, str))
+            if name not in err.getvalue():
+                found[case] += (f"{name} not named",)
+    assert found == want
+    listed = {case for case in (*_RUNS_FINE, *_ANCHORED_ELSEWHERE)
+              if case.split()[0] == run}
+    assert listed <= set(found)

@@ -12,10 +12,14 @@ import pytest
 
 from sympcool import (
     MASS_RB87,
+    ParticleEnsemble,
     SpeciesState,
     TrapConfig,
     TrapFrequencies,
     TwoGasState,
+    equivalent_mass,
+    sample_equilibrium,
+    single_species_collision_rate,
     trap_frequencies,
 )
 from sympcool.constants import (
@@ -218,6 +222,30 @@ def test_species_rejects_non_finite(field, value):
               sigma_cross=1e-16)
     with pytest.raises(DomainError, match=f"{field} must be finite"):
         SpeciesState(**{**kw, field: value})
+
+
+_RB = SpeciesState(label="rb", F=1, mF=-1, mass=MASS_RB87,
+                   sigma_self=1e-16, sigma_cross=1e-16)
+_F100 = TrapFrequencies.from_axes(100.0, 100.0, 100.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sample_equilibrium(_RB, 10, math.nan, _F100,
+                                np.random.default_rng(1)), "T"),
+    (lambda: ParticleEnsemble(_RB, np.zeros((2, 3)), np.zeros((2, 3)),
+                              weight=math.nan), "weight"),
+    (lambda: single_species_collision_rate(math.nan, 1e-6, 100.0, 1e-16,
+                                           MASS_RB87), "N"),
+    (lambda: single_species_collision_rate(1e4, math.inf, 100.0, 1e-16,
+                                           MASS_RB87), "T"),
+    (lambda: equivalent_mass(math.nan, MASS_RB87), "M1"),
+], ids=["sample_equilibrium", "ParticleEnsemble", "collision_rate_N",
+        "collision_rate_T", "equivalent_mass"])
+def test_non_finite_arguments_raise_naming_the_argument(call, name):
+    """Each of these once returned NaN (or 0.0 for T = inf), or built an
+    ensemble of NaN positions, instead of refusing its argument."""
+    with pytest.raises(DomainError, match=rf"^{name} must be finite$"):
+        call()
 
 
 def test_from_axes_sag_and_mean():

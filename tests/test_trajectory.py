@@ -27,7 +27,6 @@ from sympcool import (
     interspecies_thermalization_rate,
     region_from_events,
     rms_sizes,
-    simulate,
     simulate_with_audit,
     single_species_collision_rate,
     trap_frequencies,
@@ -164,7 +163,7 @@ def test_finite_mode_relaxes_at_the_analytic_rate():
     overlap-integral prediction. Fitted over 200+ samples."""
     s = _state()
     rate_pred = interspecies_thermalization_rate(s)
-    pts = simulate(_hold(s, t_end=2.0, dt_max=0.005))
+    pts = simulate_with_audit(_hold(s, t_end=2.0, dt_max=0.005))[0]
     t = np.array([p.t for p in pts])
     d = np.array([p.T1 - p.T2 for p in pts])
     tot = np.array([p.T1 + p.T2 for p in pts])
@@ -183,7 +182,7 @@ def test_finite_mode_offset_suppresses_relaxation():
     expected = math.exp(-2.15 ** 2 / 2.0)
     rates = []
     for s, t_end in ((s0, 2.0), (s_off, 20.0)):
-        pts = simulate(_hold(s, t_end=t_end, dt_max=t_end / 400))
+        pts = simulate_with_audit(_hold(s, t_end=t_end, dt_max=t_end / 400))[0]
         t = np.array([p.t for p in pts])
         d = np.array([p.T1 - p.T2 for p in pts])
         keep = np.abs(d) > 1e-3 * abs(d[0])
@@ -218,7 +217,7 @@ def test_rate_driven_initial_slope():
     t_end = 1e-3 / lam
     cfg = TrajectoryConfig(initial=s, eta=6.5, evaporation_model=model,
                            t_end=t_end, dt_max=t_end)
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     assert pts[-1].N1 / s.N1 == pytest.approx(math.exp(-lam * t_end),
                                               rel=1e-5)
 
@@ -231,7 +230,7 @@ def test_finite_mode_terminates_at_buffer_floor():
                            evaporation_model=RateDriven(prefactor=50.0,
                                                         sigma_self=SIG),
                            t_end=5000.0, dt_max=2.0)
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     assert pts[-1].t < 5000.0
     assert pts[-1].N1 <= 1.0 + 1e-9
     kinds = [e.kind for e in detect_events(pts)]
@@ -285,7 +284,7 @@ def test_stop_at_threshold_finite():
                            evaporation_model=RateDriven(prefactor=5.0,
                                                         sigma_self=7e-16),
                            t_end=400.0, dt_max=0.5, stop_at_threshold=True)
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     assert pts[-1].bec1 and not pts[-1].bec2
     assert pts[-1].t < 400.0
     assert pts[-1].D1 == pytest.approx(2.612, rel=1e-6)
@@ -304,7 +303,7 @@ def test_strong_contact_approaches_instant_law():
                            evaporation_model=RateDriven(prefactor=1.0,
                                                         sigma_self=7e-16),
                            t_end=100.0, dt_max=0.05)
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     alpha = (6.5 - 2.0) / 3.0
     assert pts[-1].N1 < 0.5 * s.N1
     for pt in pts[50::50]:
@@ -325,7 +324,7 @@ def _instant_cfg(N2, N1_ini=1e6, T_ini=10e-6, t_ramp=10.0, f2=F0, **kw):
 
 def test_instant_mode_lies_on_the_closed_form():
     cfg = _instant_cfg(N2=1e4)
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     p = BudgetParams(eta=6.5, N1_ini=1e6, N2=1e4, T_ini=10e-6,
                      omega1_bar=F0.omega_bar, omega2_bar=F0.omega_bar)
     t_min = p.T_ini * (p.N2 / p.N1_ini) ** p.alpha
@@ -340,7 +339,7 @@ def test_instant_mode_rate_driven_monotone():
     cfg = TrajectoryConfig(initial=s, eta=6.5,
                            evaporation_model=RateDriven(prefactor=5.0),
                            contact_mode="instant", t_end=200.0, dt_max=0.5)
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     n1 = np.array([p.N1 for p in pts])
     assert np.all(np.diff(n1) <= 1e-9 * n1[0])
     assert pts[-1].N1 < 0.8 * s.N1
@@ -357,7 +356,7 @@ def test_instant_mode_bec2_event_time():
     N2 = 0.6 * n2c                       # target condenses, buffer never
     q = replace(p, N2=N2)
     cfg = _instant_cfg(N2=N2)
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     events = {e.kind: e for e in detect_events(pts)}
     assert "bec2" in events and "bec1" not in events
     from sympcool.constants import HBAR, K_B
@@ -373,7 +372,7 @@ def test_instant_stop_at_threshold():
                      omega1_bar=F0.omega_bar, omega2_bar=F0.omega_bar)
     n2c = critical_numbers(p)[2]
     cfg = _instant_cfg(N2=0.6 * n2c, stop_at_threshold=True)
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     assert pts[-1].bec2
     assert not any(pt.bec2 for pt in pts[:-1])
     assert pts[-1].t < 10.0
@@ -390,14 +389,14 @@ def test_trajectory_regions_match_classifier():
                          (0.5 * (n2a + n2b), Region.DUAL_TARGET_FIRST),
                          (0.5 * (n2b + n2c), Region.TARGET_ONLY),
                          (1.5 * n2c, Region.NO_BEC)):
-        pts = simulate(_instant_cfg(N2=N2))
+        pts = simulate_with_audit(_instant_cfg(N2=N2))[0]
         assert region_from_events(pts) is classify(N2, p).region is expected
 
     soft = TrapFrequencies.from_axes(0.4 * F0.omega_x, 0.4 * F0.omega_y,
                                      0.4 * F0.omega_z, gravity=0.0)
     p_soft = replace(p, omega2_bar=0.4 * p.omega1_bar)
     n2c_soft = critical_numbers(p_soft)[2]
-    pts = simulate(_instant_cfg(N2=1.05 * n2c_soft, f2=soft))
+    pts = simulate_with_audit(_instant_cfg(N2=1.05 * n2c_soft, f2=soft))[0]
     assert region_from_events(pts) is Region.BUFFER_ONLY
     assert classify(1.05 * n2c_soft, p_soft).region is Region.BUFFER_ONLY
 
@@ -413,7 +412,7 @@ def test_instant_mode_stall_flag():
     ramp = RampDriven(times=(0.0, 10.0), numbers=(1e6, 0.0))
     cfg = TrajectoryConfig(initial=s, eta=6.5, evaporation_model=ramp,
                            contact_mode="instant", t_end=10.0, dt_max=0.02)
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     assert pts[0].overlap > 0.01 and not pts[0].stalled
     assert pts[-1].stalled
     ev = {e.kind for e in detect_events(pts)}
@@ -571,7 +570,7 @@ def test_frozen_trajectory_digest(make, digest, recording_math):
 def _event_digest(cfg):
     """SHA-256 over every TrajectoryPoint field, every event of
     detect_events at the configured threshold and region_from_events."""
-    pts = simulate(cfg)
+    pts = simulate_with_audit(cfg)[0]
     h = hashlib.sha256()
     floats = ("t", "N1", "T1", "T2", "D1", "D2", "Gamma", "overlap")
     flags = ("stalled", "bec1", "bec2")
