@@ -146,7 +146,8 @@ def temperature_of(N1, p: BudgetParams):
     because the closed form drops N2 against N1_ini.
     """
     N1 = np.asarray(N1, dtype=float)
-    if np.any(N1 < 0) or np.any(N1 > p.N1_ini * (1 + 1e-12)):
+    # written so that NaN fails the check
+    if not ((N1 >= 0).all() and (N1 <= p.N1_ini * (1 + 1e-12)).all()):
         raise DomainError("N1 must lie in [0, N1_ini]")
     T = p.T_min * (N1 / p.N2 + 1.0) ** p.alpha
     return float(T) if T.ndim == 0 else T
@@ -158,10 +159,14 @@ def phase_space_density(N, T, omega_bar):
     Identical to n0 * lambda_dB^3 for a Boltzmann cloud in a harmonic trap
     of geometric-mean frequency omega_bar.  No quantum calibration applied.
     """
+    N = np.asarray(N, dtype=float)
     T = np.asarray(T, dtype=float)
-    if np.any(T <= 0):
+    # written so that NaN fails the checks
+    if not (N >= 0).all():
+        raise DomainError("N must be >= 0")
+    if not (T > 0).all():
         raise DomainError("T must be positive")
-    D = np.asarray(N, dtype=float) * (HBAR * omega_bar / (K_B * T)) ** 3
+    D = N * (HBAR * omega_bar / (K_B * T)) ** 3
     return float(D) if D.ndim == 0 else D
 
 

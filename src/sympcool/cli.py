@@ -3,8 +3,8 @@
 Every run writes its outputs plus a manifest JSON recording the command
 line, a sha256 digest of the canonicalized config, the tool version, the
 seed, the produced files and, for traj, budget, phase-diagram and dsmc,
-their diagnostics (solver statistics; which path gave the regime; DSMC
-collision counters and energy drift).  For a
+their diagnostics (solver statistics and located events; which path
+gave the regime; DSMC collision counters and energy drift).  For a
 fixed (config, seed, version) the data files are byte-identical; only the
 manifest's wall_time varies.
 
@@ -461,7 +461,8 @@ def _cmd_traj(args, cfg: dict, raw: str) -> dict:
     traj_cfg = _build(TrajectoryConfig, kw, raw, "config", _TRAJ, cfg)
 
     points, audit = simulate_with_audit(traj_cfg)
-    args.diagnostics = {k: audit[k] for k in ("nfev", "rk_steps", "status")}
+    args.diagnostics = {k: audit[k]
+                        for k in ("nfev", "rk_steps", "status", "events")}
     events = detect_events(points, traj_cfg.bec_threshold)
     header = [f.name for f in fields(TrajectoryPoint)]
     name = f"traj.{args.format}"

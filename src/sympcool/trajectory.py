@@ -18,9 +18,12 @@ peak phase-space density crosses the threshold; the stall flag latches
 when the cloud-overlap factor drops below 0.01 while evaporation is still
 removing atoms.
 
-Only the integration uses scipy (the RK45 stepper and its event roots),
-imported where it runs: finite mode integrates, and so does instant mode
-on a rate-driven schedule; an instant-mode ramp never loads scipy.
+Only the integration uses scipy, imported where it runs: the RK45 set-up
+(first step and Dormand-Prince tableau) and brentq for event roots.  The
+steps and the dense output are evaluated in this module, in scipy's
+numpy operations and order, so every float equals solve_ivp's.  Finite
+mode integrates, and so does instant mode on a rate-driven schedule; an
+instant-mode ramp never loads scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -38,9 +41,6 @@ from .contact import (TwoGasState, _pair_rates, _self_rate, _stiffness,
                       transfer_efficiency)
 from .errors import (DomainError, StepFailure, require_finite,
                      require_positive)
-
-if TYPE_CHECKING:
-    from scipy.integrate import OdeSolution
 
 N1_FLOOR = 1.0          # atoms; the ramp terminates cleanly at this floor
 STALL_OVERLAP = 0.01    # overlap factor below which cooling counts as stalled
@@ -286,39 +286,88 @@ def _sample_grid(cfg: TrajectoryConfig, t_final: float) -> np.ndarray:
     return np.linspace(0.0, t_final, n)
 
 
+def _dense_at(s, t_old, h, y_old, Q):
+    """The state at one time s from a step's quartic interpolant, in the
+    operations of scipy's RkDenseOutput on a scalar."""
+    p = np.cumprod(np.tile((s - t_old) / h, Q.shape[1]))
+    y = h * np.dot(Q, p)
+    y += y_old
+    return y
+
+
+class _Dense:
+    """Dense output of one RK45 run: per accepted step a row (t_old, h,
+    y_old, Q) of one array, t[i] the step breakpoints.
+
+    A call on ascending times evaluates RkDenseOutput's quartic in its
+    operations on the segment OdeSolution picks, so every value equals
+    OdeSolution's bit for bit.  Steps holding one sample are evaluated by
+    one stacked matmul, which equals the per-step (n, 4) x (4, 1) dot;
+    steps holding more keep one dot each, since a (4, k) product differs
+    from k single-column ones in the last bits.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n = n
+        self.t = [0.0]
+        self.rows = np.empty((256, 2 + n * (1 + m)))   # Q is (n, m)
+        self.size = 0
+
+    def append(self, t, t_old, h, y_old, Q):
+        if self.size == len(self.rows):
+            self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
+        row = self.rows[self.size]
+        row[0], row[1] = t_old, h
+        row[2:2 + self.n] = y_old
+        row[2 + self.n:] = Q.ravel()
+        self.size += 1
+        self.t.append(t)
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        rows = self.rows[:self.size]
+        t_old, h, y_old = rows[:, 0], rows[:, 1], rows[:, 2:2 + self.n]
+        Q = rows[:, 2 + self.n:].reshape(self.size, self.n, -1)
+        seg = np.searchsorted(self.t, t, side="left") - 1
+        np.clip(seg, 0, self.size - 1, out=seg)
+        x = (t - t_old[seg]) / h[seg]
+        p = np.cumprod(np.tile(x, (Q.shape[2], 1)), axis=0)
+        y = np.empty((self.n, t.size))
+        # runs of samples on one step, as OdeSolution's groupby makes them
+        edges = np.flatnonzero(np.diff(seg)) + 1
+        starts = np.concatenate(([0], edges))
+        counts = np.diff(np.concatenate((starts, [t.size])))
+        one = starts[counts == 1]
+        i = seg[one]
+        y1 = h[i, None] * np.matmul(Q[i], p[:, one].T[..., None])[..., 0]
+        y1 += y_old[i]
+        y[:, one] = y1.T
+        for a, k in zip(starts[counts > 1], counts[counts > 1]):
+            i = seg[a]
+            yi = h[i] * np.dot(Q[i], p[:, a:a + k])
+            yi += y_old[i][:, None]
+            y[:, a:a + k] = yi
+        return y
+
+
 class _Run(NamedTuple):
     """One integration by _integrate."""
 
     t: np.ndarray           # step times, the last one t_end or the stop root
     t_events: list          # roots per event: the floor, then the crossings
-    sol: OdeSolution        # one dense-output interpolant per step
+    sol: _Dense             # the dense output over the accepted steps
     status: int             # 0: reached t_end, 1: stopped by a terminal event
     nfev: int
 
 
 def _solver_stats(run: _Run) -> dict:
+    names = ("buffer_floor", "D1_crossing", "D2_crossing")
     return {"nfev": int(run.nfev), "rk_steps": int(run.t.size) - 1,
-            "status": int(run.status)}
+            "status": int(run.status),
+            "events": dict(zip(names, run.t_events))}
 
 
 def _hit_floor(t, y):
     return y[0] - N1_FLOOR
-
-
-def _nan_outside_domain(rhs):
-    """rhs, but NaN in every component where it raises DomainError.
-
-    RK45 rejects a step whose error estimate is NaN and retries a shorter
-    one, so a trial stage that leaves the model's domain (T1 below zero as
-    a ramp drives N1 to the floor) shrinks the step instead of ending the
-    run; the terminal floor event then stops it.
-    """
-    def f(t, y):
-        try:
-            return rhs(t, y)
-        except DomainError:
-            return np.full(len(y), np.nan)
-    return f
 
 
 def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
@@ -327,55 +376,98 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
     falls to N1_FLOOR; with stop_at_threshold also at the first upward
     zero of a crossing function.
 
-    A plain loop over scipy's RK45 stepper that keeps solve_ivp's rules
-    (dense output, no t_eval), so every float equals solve_ivp's: an event
-    fires when its function reaches zero within a step in its direction,
-    its root is brentq on that step's interpolant, and a terminal root ends
-    the run there.  A trial stage outside the model's domain shrinks the
-    step (_nan_outside_domain).
+    scipy's RK45 supplies the first step, f0 and its Dormand-Prince
+    tableau; the steps are taken here in the numpy operations and order
+    of its RungeKutta._step_impl and rk_step, and the events follow
+    solve_ivp's rules, so every float equals solve_ivp's with dense
+    output: an event fires when its function reaches zero within a step
+    in its direction, its root is brentq on that step's interpolant, and
+    a terminal root ends the run there.  A trial stage outside the
+    model's domain (T1 below zero as a ramp drives N1 to the floor) gives
+    a NaN derivative, so its step is rejected and retried shorter, and
+    the terminal floor event then stops the run.  A step that would fall
+    below ten float spacings of t raises StepFailure.
     """
-    from scipy.integrate import RK45, OdeSolution
+    from scipy.integrate import RK45
     from scipy.optimize import brentq
+
+    nan_row = np.full(len(y0), np.nan)
+
+    def f(t, y):
+        try:
+            return rhs(t, y)
+        except DomainError:
+            return nan_row
 
     events = (_hit_floor, *crossings)
     terminal = (True,) + (cfg.stop_at_threshold,) * len(crossings)
-    solver = RK45(_nan_outside_domain(rhs), 0.0, y0, float(cfg.t_end),
-                  rtol=1e-8, atol=1e-12, max_step=cfg.dt_max)
-    ts, interpolants = [0.0], []
+    t_end = float(cfg.t_end)
+    solver = RK45(f, 0.0, y0, t_end, rtol=1e-8, atol=1e-12,
+                  max_step=cfg.dt_max)
+    A, B, C, E, P, K = (solver.A, solver.B, solver.C, solver.E, solver.P,
+                        solver.K)
+    stages = [(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, len(C))]
+    rtol, atol, max_step = solver.rtol, solver.atol, solver.max_step
+    exponent, root_n = solver.error_exponent, len(y0) ** 0.5
+    t, y, fy, h_abs, nfev = (0.0, solver.y, solver.f, float(solver.h_abs),
+                             solver.nfev)
+    dense = _Dense(len(y0), P.shape[1])
     t_events: list[list[float]] = [[] for _ in events]
     g = [ev(0.0, y0) for ev in events]
     status = None
     while status is None:
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepFailure(message)
-        status = 0 if solver.status == "finished" else None
-        t_old, t = solver.t_old, solver.t
-        sol = solver.dense_output()
-        interpolants.append(sol)
-        g_new = [ev(t, solver.y) for ev in events]
+        # RungeKutta._step_impl with SAFETY 0.9, MIN_FACTOR 0.2 and
+        # MAX_FACTOR 10
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepFailure(solver.TOO_SMALL_STEP)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = fy
+            for s, KT, a, c in stages:
+                K[s] = f(t + c * h, y + np.dot(KT, a) * h)
+            y_new = y + h * np.dot(K[:-1].T, B)
+            K[-1] = f(t + h, y_new)
+            nfev += len(stages) + 1
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            x = np.dot(K.T, E) * h / scale
+            error_norm = math.sqrt(x.dot(x)) / root_n
+            if error_norm < 1:
+                factor = (10 if error_norm == 0
+                          else min(10, 0.9 * error_norm ** exponent))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** exponent)
+            rejected = True
+        t_old, y_old, t, y, fy = t, y, t_new, y_new, K[-1].copy()
+        status = 0 if t >= t_end else None
+        Q = K.T.dot(P)
+        g_new = [ev(t, y) for ev in events]
         # the floor fires on the way down, the crossings on the way up
         active = [i for i, (a, b) in enumerate(zip(g, g_new))
                   if (a >= 0 >= b if i == 0 else a <= 0 <= b)]
-        hits = sorted((brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old,
-                              t, xtol=4 * _EPS, rtol=4 * _EPS), i)
+        hits = sorted((brentq(lambda s, ev=events[i]: ev(s, _dense_at(
+                                  s, t_old, h, y_old, Q)),
+                              t_old, t, xtol=4 * _EPS, rtol=4 * _EPS), i)
                       for i in active)
         stop = next((k for k, (_, i) in enumerate(hits) if terminal[i]),
                     None)
+        t_stop = t
         if stop is not None:
             hits = hits[:stop + 1]
             status = 1
-            t = hits[-1][0]
+            t_stop = hits[-1][0]
         for root, i in hits:
             t_events[i].append(root)
         g = g_new
-        if len(ts) > 1 and ts[-1] == t:     # a stop at the previous step
-            interpolants.pop()
-        else:
-            ts.append(t)
-    steps = np.array(ts)
-    return _Run(steps, t_events, OdeSolution(steps, interpolants), status,
-                solver.nfev)
+        if len(dense.t) == 1 or dense.t[-1] != t_stop:
+            # else a stop at the previous step's end: this step is dropped
+            dense.append(t_stop, t_old, h, y_old, Q)
+    return _Run(np.array(dense.t), t_events, dense, status, nfev)
 
 
 def _simulate_finite(cfg: TrajectoryConfig):
@@ -416,7 +508,7 @@ def _instant_n1_of_t(cfg: TrajectoryConfig, p: BudgetParams, model: _Model):
         knots = np.asarray(m.times, dtype=float)
         ts = np.unique(np.concatenate([
             _sample_grid(cfg, cfg.t_end), knots[knots <= cfg.t_end]]))
-        stats = {"nfev": 0, "rk_steps": 0, "status": None}
+        stats = {"nfev": 0, "rk_steps": 0, "status": None, "events": None}
         return ts, np.interp(ts, m.times, m.numbers), stats
 
     def rhs(t, y):
@@ -463,9 +555,12 @@ def simulate_with_audit(cfg: TrajectoryConfig):
     points beyond the model's validity.  audit["t"] holds the sample
     times; in finite mode E_total[i] - E_total[0] equals E_removed[i] up
     to integrator tolerance (instant mode: None for both).  "nfev",
-    "rk_steps" (accepted steps) and "status" (0: reached t_end, 1: stopped
-    by a terminal event) come from the RK45 loop of _integrate; an
-    instant-mode ramp runs no solver and reports 0, 0 and None.
+    "rk_steps" (accepted steps), "status" (0: reached t_end, 1: stopped
+    by a terminal event) and "events" come from the RK45 loop of
+    _integrate; "events" maps "buffer_floor" and, in finite mode,
+    "D1_crossing" and "D2_crossing" to the solver's located roots in
+    seconds.  An instant-mode ramp runs no solver and reports 0, 0, None
+    and None.
     """
     if cfg.contact_mode == "instant":
         return _simulate_instant(cfg)

@@ -101,6 +101,13 @@ def test_temperature_domain():
         temperature_of(CANON.N1_ini * 1.01, CANON)
 
 
+def test_temperature_of_rejects_nan():
+    with pytest.raises(DomainError, match="N1 must lie"):
+        temperature_of(math.nan, CANON)
+    with pytest.raises(DomainError, match="N1 must lie"):
+        temperature_of(np.array([1.0, math.nan]), CANON)
+
+
 # ------------------------------------------------- phase-space density
 
 def test_psd_against_peak_density_times_lambda_cubed():
@@ -120,6 +127,14 @@ def test_psd_rejects_nonpositive_temperature():
         phase_space_density(1e4, 0.0, OMEGA1)
 
 
+@pytest.mark.parametrize("N, T, message", [
+    (math.nan, 1e-6, "N must be >= 0"), (-1.0, 1e-6, "N must be >= 0"),
+    (1e4, math.nan, "T must be positive")])
+def test_psd_rejects_nan_or_negative_number(N, T, message):
+    with pytest.raises(DomainError, match=message):
+        phase_space_density(N, T, OMEGA1)
+
+
 def test_psd_curves_carry_the_prefactor():
     d1, d2 = psd_curves(5e5, CANON)
     T = temperature_of(5e5, CANON)
@@ -128,6 +143,11 @@ def test_psd_curves_carry_the_prefactor():
     assert d2 == pytest.approx(
         CANON.psd_prefactor * phase_space_density(CANON.N2, T, OMEGA2),
         rel=1e-14)
+
+
+def test_psd_curves_reject_nan():
+    with pytest.raises(DomainError, match="N1 must lie"):
+        psd_curves(math.nan, CANON)
 
 
 def test_target_endpoint_matches_curve_at_zero():

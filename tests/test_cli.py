@@ -365,12 +365,15 @@ def test_traj_plot_script(tmp_path):
 
 
 def test_traj_manifest_solver_diagnostics(tmp_path):
-    """The traj manifest carries nfev, rk_steps and status from the run's
-    audit: six RHS calls per RK45 step plus two at the start, at least
-    one step per dt_max; a ramp in instant mode runs no solver (0, 0 and
-    null)."""
+    """The traj manifest carries nfev, rk_steps, status and the located
+    events from the run's audit: six RHS calls per RK45 step plus two at
+    the start, at least one step per dt_max; a ramp in instant mode runs
+    no solver (0, 0, null and null).  Run to 30 s, both phase-space
+    densities cross the threshold, and traj_events.json's BEC times are
+    the solver's roots, which the sample grid holds."""
     ramp = {"model": "ramp", "times_s": [0.0, 10.0], "numbers": [1e6, 0.0]}
     cases = (({"contact_mode": "finite", "t_end_s": 5.0}, "finite"),
+             ({"contact_mode": "finite"}, "crossing"),
              ({"evaporation": ramp}, "ramp"))
     found = {}
     for over, name in cases:
@@ -379,11 +382,20 @@ def test_traj_manifest_solver_diagnostics(tmp_path):
                      str(tmp_path / name)]) == 0
         found[name] = read_json(tmp_path / name / "traj_manifest.json")[
             "diagnostics"]
-    assert found["ramp"] == {"nfev": 0, "rk_steps": 0, "status": None}
+    assert found["ramp"] == {"nfev": 0, "rk_steps": 0, "status": None,
+                             "events": None}
     finite = found["finite"]
     assert finite["status"] == 0
     assert finite["rk_steps"] >= 100
     assert finite["nfev"] == 6 * finite["rk_steps"] + 2
+    assert finite["events"] == {"buffer_floor": [], "D1_crossing": [],
+                                "D2_crossing": []}
+    roots = found["crossing"]["events"]
+    bec = {e["kind"]: e["t"] for e in read_json(
+        tmp_path / "crossing" / "traj_events.json")["events"]}
+    assert roots["buffer_floor"] == []
+    assert roots["D1_crossing"] == [bec["bec1"]]
+    assert roots["D2_crossing"] == [bec["bec2"]]
 
 
 def test_traj_rejects_unknown_evaporation(tmp_path, capsys):

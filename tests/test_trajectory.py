@@ -33,7 +33,7 @@ from sympcool import (
 )
 from sympcool import trajectory
 from sympcool.constants import G_STANDARD
-from sympcool.errors import DomainError
+from sympcool.errors import DomainError, StepFailure
 from sympcool.trajectory import N1_FLOOR, _sample_grid, region_of_events
 
 SIG = 1.4e-15
@@ -626,9 +626,35 @@ def _floor_leg():
                             t_end=5000.0, dt_max=2.0)
 
 
+def _ramp_to_zero_leg():
+    """Finite ramp that takes N1 to 0: trial stages past the floor leave
+    the right-hand side's domain, so steps are rejected on NaN until the
+    terminal floor event stops the run."""
+    s = _state(N1=1e6, N2=1.44e4, T1=10e-6, T2=10e-6, sigma=2e-15)
+    ramp = RampDriven(times=(0.0, 10.0), numbers=(1e6, 0.0))
+    return TrajectoryConfig(initial=s, eta=6.5, evaporation_model=ramp,
+                            t_end=20.0, dt_max=0.05)
+
+
+def _coarse_leg():
+    """Steps capped at 1 s on a 200-point grid over 30 s: the short early
+    steps hold no sample, many capped ones two or more."""
+    s = _state(N1=1e6, N2=1e4, T1=10e-6, T2=8e-6, delta=2e-6)
+    return TrajectoryConfig(initial=s, eta=6.5,
+                            evaporation_model=RateDriven(prefactor=3.0),
+                            t_end=30.0, dt_max=1.0)
+
+
 def _solve_ivp_reference(rhs, y0, cfg, crossings):
-    """solve_ivp with the floor event and the crossings as events: the
-    call the trajectory module made before its own RK45 loop."""
+    """solve_ivp with the floor event and the crossings as events, a
+    right-hand side outside its domain giving NaN: the call the
+    trajectory module made before its own RK45 loop."""
+    def fun(t, y):
+        try:
+            return rhs(t, y)
+        except DomainError:
+            return np.full(len(y), np.nan)
+
     def hit_floor(t, y):
         return y[0] - N1_FLOOR
     hit_floor.terminal, hit_floor.direction = True, -1
@@ -638,7 +664,7 @@ def _solve_ivp_reference(rhs, y0, cfg, crossings):
             return f(t, y)
         ev.terminal, ev.direction = cfg.stop_at_threshold, 1
         events.append(ev)
-    return solve_ivp(rhs, (0.0, cfg.t_end), y0, method="RK45", rtol=1e-8,
+    return solve_ivp(fun, (0.0, cfg.t_end), y0, method="RK45", rtol=1e-8,
                      atol=1e-12, max_step=cfg.dt_max, dense_output=True,
                      events=events)
 
@@ -649,8 +675,11 @@ def _solve_ivp_reference(rhs, y0, cfg, crossings):
     (lambda: _criterion_7_leg(56.0, 5.636e5, stop=True), 1, {2}),
     (_floor_leg, 1, {0}),
     (_instant_rate_leg, 0, set()),
+    (_ramp_to_zero_leg, 1, {0, 1, 2}),
+    (_coarse_leg, 0, {1, 2}),
+    (_unequal_mass_leg, 0, {1}),
 ], ids=["crossing_no_stop", "stop_at_threshold", "buffer_floor",
-        "instant_rate"])
+        "instant_rate", "ramp_to_zero", "coarse_grid", "unequal_mass"])
 def test_rk45_loop_matches_solve_ivp(make, status, kinds, monkeypatch):
     """The module's RK45 loop gives bit for bit what solve_ivp gives with
     the same settings and events: step times, event roots, status, RHS
@@ -673,3 +702,41 @@ def test_rk45_loop_matches_solve_ivp(make, status, kinds, monkeypatch):
     ts = _sample_grid(cfg, float(ref.t[-1]))
     assert np.array_equal(run.sol(ts), ref.sol(ts))
     assert np.array_equal(run.sol(audit["t"]), ref.sol(audit["t"]))
+
+
+def test_coarse_leg_runs_both_dense_branches(monkeypatch):
+    """The coarse leg has steps holding no sample, one sample and two or
+    more, so its case of test_rk45_loop_matches_solve_ivp runs both
+    branches of the dense evaluation: the stacked matmul and the one dot
+    per shared step."""
+    runs, integrate = [], trajectory._integrate
+
+    def spy(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+    monkeypatch.setattr(trajectory, "_integrate", spy)
+    audit = simulate_with_audit(_coarse_leg())[1]
+    (run,) = runs
+    steps = run.t.size - 1
+    seg = np.clip(np.searchsorted(run.t, audit["t"], side="left") - 1, 0,
+                  steps - 1)
+    held = np.bincount(seg, minlength=steps)
+    assert (held == 0).any() and (held == 1).any() and (held >= 2).any()
+
+
+def test_step_failure_matches_solve_ivp():
+    """A right-hand side valid at t = 0 and outside its domain for every
+    t > 0 rejects every step until the step falls below ten float
+    spacings of t: _integrate raises StepFailure with the message that
+    solve_ivp reports, with status -1, on the same function."""
+    def rhs(t, y):
+        if t > 0:
+            raise DomainError("outside the domain")
+        return (-1.0, 0.0, 0.0, 0.0)
+    cfg = _hold(_state(), t_end=1.0)
+    y0 = (1e4, 1e-6, 1e-6, 0.0)
+    ref = _solve_ivp_reference(rhs, y0, cfg, ())
+    assert ref.status == -1
+    with pytest.raises(StepFailure) as failure:
+        trajectory._integrate(rhs, y0, cfg)
+    assert str(failure.value) == ref.message
