@@ -44,8 +44,10 @@ class SpeciesState:
         require_finite(mass=self.mass, sigma_self=self.sigma_self,
                        sigma_cross=self.sigma_cross)
         require_positive(mass=self.mass)
-        if self.sigma_self < 0 or self.sigma_cross < 0:
-            raise DomainError(f"{self.label}: cross sections must be >= 0")
+        if self.sigma_self < 0:
+            raise DomainError(f"{self.label}: sigma_self must be >= 0")
+        if self.sigma_cross < 0:
+            raise DomainError(f"{self.label}: sigma_cross must be >= 0")
         if self.trap_sign <= 0:
             raise AntiTrapped(
                 f"{self.label}: (F={self.F}, mF={self.mF}) is not low-field "
@@ -73,6 +75,11 @@ class TrapConfig:
         require_positive(B0=self.B0, G=self.G, C=self.C)
 
 
+def _require_axes(omega_x, omega_y, omega_z) -> None:
+    require_finite(omega_x=omega_x, omega_y=omega_y, omega_z=omega_z)
+    require_positive(omega_x=omega_x, omega_y=omega_y, omega_z=omega_z)
+
+
 @dataclass(frozen=True)
 class TrapFrequencies:
     """Angular trap frequencies [rad/s] plus the gravitational sag [m].
@@ -87,12 +94,16 @@ class TrapFrequencies:
     omega_bar: float
     sag: float
 
+    def __post_init__(self):
+        _require_axes(self.omega_x, self.omega_y, self.omega_z)
+        require_finite(omega_bar=self.omega_bar, sag=self.sag)
+
     @classmethod
     def from_axes(cls, omega_x: float, omega_y: float, omega_z: float,
                   gravity: float = G_STANDARD) -> "TrapFrequencies":
-        require_finite(omega_x=omega_x, omega_y=omega_y, omega_z=omega_z,
-                       gravity=gravity)
-        require_positive(omega_x=omega_x, omega_y=omega_y, omega_z=omega_z)
+        # checked here too: sag divides by omega_z ** 2
+        _require_axes(omega_x, omega_y, omega_z)
+        require_finite(gravity=gravity)
         return cls(
             omega_x=omega_x,
             omega_y=omega_y,

@@ -20,10 +20,10 @@ removing atoms.
 
 Only the integration uses scipy, imported where it runs: the RK45 set-up
 (first step and Dormand-Prince tableau) and brentq for event roots.  The
-steps and the dense output are evaluated in this module, in scipy's
-numpy operations and order, so every float equals solve_ivp's.  Finite
-mode integrates, and so does instant mode on a rate-driven schedule; an
-instant-mode ramp never loads scipy.
+steps are taken here and _dense evaluates their interpolants, for roots
+and samples alike, in scipy's numpy operations and order, so every float
+equals solve_ivp's.  Finite mode integrates, and so does instant mode on
+a rate-driven schedule; an instant-mode ramp never loads scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from functools import partial
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -273,80 +274,43 @@ class _Model:
         return pts
 
 
-def _budget_params(cfg: TrajectoryConfig) -> BudgetParams:
-    s = cfg.initial
-    return BudgetParams(eta=cfg.eta, N1_ini=s.N1, N2=s.N2, T_ini=s.T1,
-                        omega1_bar=s.f1.omega_bar, omega2_bar=s.f2.omega_bar,
-                        psd_prefactor=cfg.psd_prefactor)
-
-
 def _sample_grid(cfg: TrajectoryConfig, t_final: float) -> np.ndarray:
     n = int(math.ceil(t_final / cfg.dt_max)) + 1
     n = min(max(n, 200), 200_000)
     return np.linspace(0.0, t_final, n)
 
 
-def _dense_at(s, t_old, h, y_old, Q):
-    """The state at one time s from a step's quartic interpolant, in the
-    operations of scipy's RkDenseOutput on a scalar."""
-    p = np.cumprod(np.tile((s - t_old) / h, Q.shape[1]))
-    y = h * np.dot(Q, p)
-    y += y_old
-    return y
+def _dense(steps, breaks, t: np.ndarray) -> np.ndarray:
+    """The state (n, t.size) at ascending times t from the steps (t_old, h,
+    y_old, Q) of one RK45 run, breaks[0] its start and breaks[i + 1] the
+    end of steps[i].
 
-
-class _Dense:
-    """Dense output of one RK45 run: per accepted step a row (t_old, h,
-    y_old, Q) of one array, t[i] the step breakpoints.
-
-    A call on ascending times evaluates RkDenseOutput's quartic in its
-    operations on the segment OdeSolution picks, so every value equals
-    OdeSolution's bit for bit.  Steps holding one sample are evaluated by
-    one stacked matmul, which equals the per-step (n, 4) x (4, 1) dot;
+    RkDenseOutput's quartic is evaluated in its operations on the segment
+    OdeSolution picks, so every value equals OdeSolution's bit for bit.
+    Steps holding one sample are evaluated by one stacked matmul, which
+    equals the per-step (n, 4) x (4, 1) dot and a scalar call's 1-d dot;
     steps holding more keep one dot each, since a (4, k) product differs
     from k single-column ones in the last bits.
     """
-
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.t = [0.0]
-        self.rows = np.empty((256, 2 + n * (1 + m)))   # Q is (n, m)
-        self.size = 0
-
-    def append(self, t, t_old, h, y_old, Q):
-        if self.size == len(self.rows):
-            self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
-        row = self.rows[self.size]
-        row[0], row[1] = t_old, h
-        row[2:2 + self.n] = y_old
-        row[2 + self.n:] = Q.ravel()
-        self.size += 1
-        self.t.append(t)
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        rows = self.rows[:self.size]
-        t_old, h, y_old = rows[:, 0], rows[:, 1], rows[:, 2:2 + self.n]
-        Q = rows[:, 2 + self.n:].reshape(self.size, self.n, -1)
-        seg = np.searchsorted(self.t, t, side="left") - 1
-        np.clip(seg, 0, self.size - 1, out=seg)
-        x = (t - t_old[seg]) / h[seg]
-        p = np.cumprod(np.tile(x, (Q.shape[2], 1)), axis=0)
-        y = np.empty((self.n, t.size))
-        # runs of samples on one step, as OdeSolution's groupby makes them
-        edges = np.flatnonzero(np.diff(seg)) + 1
-        starts = np.concatenate(([0], edges))
-        counts = np.diff(np.concatenate((starts, [t.size])))
-        one = starts[counts == 1]
-        i = seg[one]
-        y1 = h[i, None] * np.matmul(Q[i], p[:, one].T[..., None])[..., 0]
-        y1 += y_old[i]
-        y[:, one] = y1.T
-        for a, k in zip(starts[counts > 1], counts[counts > 1]):
-            i = seg[a]
-            yi = h[i] * np.dot(Q[i], p[:, a:a + k])
-            yi += y_old[i][:, None]
-            y[:, a:a + k] = yi
-        return y
+    t_old, h, y_old, Q = map(np.array, zip(*steps))
+    seg = np.searchsorted(breaks, t, side="left") - 1
+    np.clip(seg, 0, len(steps) - 1, out=seg)
+    x = (t - t_old[seg]) / h[seg]
+    p = np.cumprod(np.tile(x, (Q.shape[2], 1)), axis=0)
+    y = np.empty((y_old.shape[1], t.size))
+    # runs of samples on one step, as OdeSolution's groupby makes them
+    _, starts, counts = np.unique(seg, return_index=True, return_counts=True)
+    one = starts[counts == 1]
+    i = seg[one]
+    y1 = h[i, None] * np.matmul(Q[i], p[:, one].T[..., None])[..., 0]
+    y1 += y_old[i]
+    y[:, one] = y1.T
+    for a, k in zip(starts[counts > 1], counts[counts > 1]):
+        i = seg[a]
+        yi = h[i] * np.dot(Q[i], p[:, a:a + k])
+        yi += y_old[i][:, None]
+        y[:, a:a + k] = yi
+    return y
 
 
 class _Run(NamedTuple):
@@ -354,7 +318,7 @@ class _Run(NamedTuple):
 
     t: np.ndarray           # step times, the last one t_end or the stop root
     t_events: list          # roots per event: the floor, then the crossings
-    sol: _Dense             # the dense output over the accepted steps
+    sol: Callable           # _dense on the accepted steps: sol(ts), ts ascending
     status: int             # 0: reached t_end, 1: stopped by a terminal event
     nfev: int
 
@@ -411,7 +375,7 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
     exponent, root_n = solver.error_exponent, len(y0) ** 0.5
     t, y, fy, h_abs, nfev = (0.0, solver.y, solver.f, float(solver.h_abs),
                              solver.nfev)
-    dense = _Dense(len(y0), P.shape[1])
+    steps, breaks = [], [0.0]
     t_events: list[list[float]] = [[] for _ in events]
     g = [ev(0.0, y0) for ev in events]
     status = None
@@ -445,13 +409,13 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
             rejected = True
         t_old, y_old, t, y, fy = t, y, t_new, y_new, K[-1].copy()
         status = 0 if t >= t_end else None
-        Q = K.T.dot(P)
+        step = (t_old, h, y_old, K.T.dot(P))
         g_new = [ev(t, y) for ev in events]
         # the floor fires on the way down, the crossings on the way up
         active = [i for i, (a, b) in enumerate(zip(g, g_new))
                   if (a >= 0 >= b if i == 0 else a <= 0 <= b)]
-        hits = sorted((brentq(lambda s, ev=events[i]: ev(s, _dense_at(
-                                  s, t_old, h, y_old, Q)),
+        hits = sorted((brentq(lambda s, ev=events[i]: ev(s, _dense(
+                                  [step], (t_old, t), np.array([s]))[:, 0]),
                               t_old, t, xtol=4 * _EPS, rtol=4 * _EPS), i)
                       for i in active)
         stop = next((k for k, (_, i) in enumerate(hits) if terminal[i]),
@@ -464,10 +428,12 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
         for root, i in hits:
             t_events[i].append(root)
         g = g_new
-        if len(dense.t) == 1 or dense.t[-1] != t_stop:
+        if len(breaks) == 1 or breaks[-1] != t_stop:
             # else a stop at the previous step's end: this step is dropped
-            dense.append(t_stop, t_old, h, y_old, Q)
-    return _Run(np.array(dense.t), t_events, dense, status, nfev)
+            steps.append(step)
+            breaks.append(t_stop)
+    return _Run(np.array(breaks), t_events, partial(_dense, steps, breaks),
+                status, nfev)
 
 
 def _simulate_finite(cfg: TrajectoryConfig):
@@ -500,30 +466,31 @@ def _simulate_finite(cfg: TrajectoryConfig):
     return pts, audit
 
 
-def _instant_n1_of_t(cfg: TrajectoryConfig, p: BudgetParams, model: _Model):
-    """Buffer number vs time in instant mode, as sampled arrays, and the
-    solver's statistics (none for a ramp)."""
+def _simulate_instant(cfg: TrajectoryConfig):
+    s0 = cfg.initial
+    p = BudgetParams(eta=cfg.eta, N1_ini=s0.N1, N2=s0.N2, T_ini=s0.T1,
+                     omega1_bar=s0.f1.omega_bar, omega2_bar=s0.f2.omega_bar,
+                     psd_prefactor=cfg.psd_prefactor)
+    model = _Model(cfg)
     m = cfg.evaporation_model
+    # buffer number vs time: sampled on ts0 as n1s0, and n1_at(ts) anywhere
     if isinstance(m, RampDriven):
         knots = np.asarray(m.times, dtype=float)
-        ts = np.unique(np.concatenate([
+        ts0 = np.unique(np.concatenate([
             _sample_grid(cfg, cfg.t_end), knots[knots <= cfg.t_end]]))
+        n1_at = partial(np.interp, xp=m.times, fp=m.numbers)
+        n1s0 = n1_at(ts0)
         stats = {"nfev": 0, "rk_steps": 0, "status": None, "events": None}
-        return ts, np.interp(ts, m.times, m.numbers), stats
+    else:
+        def rhs(t, y):
+            n1 = max(y[0], N1_FLOOR)
+            return (model.ndot(t, n1, temperature_of(min(n1, p.N1_ini), p)),)
 
-    def rhs(t, y):
-        n1 = max(y[0], N1_FLOOR)
-        return (model.ndot(t, n1, temperature_of(min(n1, p.N1_ini), p)),)
-
-    run = _integrate(rhs, (cfg.initial.N1,), cfg)
-    ts = _sample_grid(cfg, float(run.t[-1]))
-    return ts, np.maximum(run.sol(ts)[0], 0.0), _solver_stats(run)
-
-
-def _simulate_instant(cfg: TrajectoryConfig):
-    p = _budget_params(cfg)
-    model = _Model(cfg)
-    ts0, n1s0, stats = _instant_n1_of_t(cfg, p, model)
+        run = _integrate(rhs, (s0.N1,), cfg)
+        ts0 = _sample_grid(cfg, float(run.t[-1]))
+        n1s0 = np.maximum(run.sol(ts0)[0], 0.0)
+        n1_at = partial(np.interp, xp=ts0, fp=n1s0)
+        stats = _solver_stats(run)
 
     # refine sampling at geometric N1 levels so the steep small-N1 end of
     # the ramp (where both phase-space densities peak) is resolved
@@ -532,12 +499,7 @@ def _simulate_instant(cfg: TrajectoryConfig):
     order = np.argsort(n1s0, kind="stable")
     t_levels = np.interp(levels, n1s0[order], ts0[order])
     ts = np.unique(np.concatenate([ts0, t_levels]))
-    m = cfg.evaporation_model
-    if isinstance(m, RampDriven):
-        n1s = np.interp(ts, m.times, m.numbers)
-    else:
-        n1s = np.interp(ts, ts0, n1s0)
-    n1s = np.clip(n1s, 0.0, p.N1_ini)
+    n1s = np.clip(n1_at(ts), 0.0, p.N1_ini)
 
     Ts = temperature_of(n1s, p)
     pts = model.points(ts, n1s, Ts, Ts, stop=cfg.stop_at_threshold)

@@ -41,8 +41,9 @@ from sympcool import (
 )
 from sympcool.constants import G_STANDARD, K_B
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::sympcool.errors.CellUnderflowWarning")
+pytestmark = [
+    pytest.mark.acceptance,
+    pytest.mark.filterwarnings("ignore::sympcool.errors.CellUnderflowWarning")]
 
 SIG = 1.4e-15
 AXES = (2 * math.pi * 80, 2 * math.pi * 100, 2 * math.pi * 125)

@@ -1245,9 +1245,7 @@ _ANCHORED_ELSEWHERE = {
     # the ramp does not start at the initial buffer number
     "traj_ramp evaporation.numbers[0] 0": "initial",
     "traj_ramp evaporation.numbers[0] 0.0": "initial",
-    # a negative cross section, and two species that disagree on theirs
-    **{f"dsmc species[{i}].sigma_{which}_m2 -1.0": f"species[{i}]"
-       for i in (0, 1) for which in ("self", "cross")},
+    # two species that disagree on their cross section
     **{f"dsmc species[{i}].sigma_cross_m2 {v}": "species"
        for i in (0, 1) for v in ("0", "0.0")}}
 

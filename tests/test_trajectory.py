@@ -4,8 +4,11 @@ import hashlib
 import math
 from dataclasses import replace
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import solve_ivp
 
 from sympcool import (
@@ -722,6 +725,26 @@ def test_coarse_leg_runs_both_dense_branches(monkeypatch):
                   steps - 1)
     held = np.bincount(seg, minlength=steps)
     assert (held == 0).any() and (held == 1).any() and (held >= 2).any()
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 4]), t_old=st.floats(0.0, 1e3),
+       h=st.floats(1e-6, 10.0), frac=st.floats(0.0, 1.0), data=st.data())
+def test_dense_at_one_time_matches_scipy_scalar_call(n, t_old, h, frac, data):
+    """_dense at a one-element time array, as brentq calls it for event
+    roots, equals scipy's RkDenseOutput called on that scalar bit for bit:
+    the stacked (n, 4) x (4, 1) matmul gives what the 1-d dot gives."""
+    from scipy.integrate._ivp.rk import RkDenseOutput
+    y_old = data.draw(hnp.arrays(float, n, elements=_FINITE))
+    Q = data.draw(hnp.arrays(float, (n, 4), elements=_FINITE))
+    t = t_old + h
+    s = min(t_old + frac * (t - t_old), t)
+    ours = trajectory._dense([(t_old, t - t_old, y_old, Q)], (t_old, t),
+                             np.array([s]))[:, 0]
+    assert np.array_equal(ours, RkDenseOutput(t_old, t, y_old, Q)(s))
 
 
 def test_step_failure_matches_solve_ivp():
