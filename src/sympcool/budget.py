@@ -78,10 +78,7 @@ class BudgetParams:
     psd_prefactor: float = PSD_PREFACTOR
 
     def __post_init__(self):
-        require_finite(eta=self.eta, N1_ini=self.N1_ini, N2=self.N2,
-                       T_ini=self.T_ini, omega1_bar=self.omega1_bar,
-                       omega2_bar=self.omega2_bar,
-                       psd_prefactor=self.psd_prefactor)
+        require_finite(eta=self.eta)
         require_positive(N1_ini=self.N1_ini, N2=self.N2, T_ini=self.T_ini,
                          omega1_bar=self.omega1_bar,
                          omega2_bar=self.omega2_bar,
@@ -402,8 +399,7 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float) -> dict:
     above 3, and so may the model curves of a cell, which raises
     DomainError naming eta.
     """
-    if trap_ratio <= 0:
-        raise DomainError("trap_ratio must be positive")
+    require_positive(trap_ratio=trap_ratio)
     omega1 = 2.0 * math.pi * 100.0
     rows, boundaries = [], []
     paths = {"closed_form": 0, "scan": 0}

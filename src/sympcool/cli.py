@@ -36,7 +36,8 @@ import numpy as np
 from . import __version__
 from .budget import BudgetParams, classify, critical_numbers, phase_diagram
 from .constants import (AMU, GAUSS, GAUSS_PER_CM2, KILOGAUSS_PER_CM,
-                        MASS_RB87, MICROKELVIN, MICROMETER, constants_table)
+                        MASS_RB87, MICROKELVIN, MICROMETER, NANOKELVIN,
+                        constants_table)
 from .contact import TwoGasState, _rates_of, single_species_collision_rate
 from .dsmc import (DsmcConfig, fit_relaxation, sample_equilibrium,
                    total_energy)
@@ -292,7 +293,7 @@ def _species_from(obj, raw: str, where: str, role: dict, known=None):
 
 def _freqs_from(obj, raw: str, where: str, **defaults) -> TrapFrequencies:
     kw = {**defaults, **_read(obj, _FREQS, raw, where)}
-    return _build(TrapFrequencies.from_axes, kw, raw, where, _FREQS, obj)
+    return _build(TrapFrequencies, kw, raw, where, _FREQS, obj)
 
 
 def _state_from(obj, raw: str, where: str) -> TwoGasState:
@@ -356,7 +357,7 @@ def _cmd_budget(args, cfg: dict, raw: str) -> dict:
               "d2max": outcome.D2_max, "dequal": outcome.D_equal,
               "n1_at_buffer_peak": outcome.N1_at_buffer_peak,
               "closed_form_ordering": outcome.closed_form_ordering,
-              "alpha": params.alpha, "t_min_nK": params.T_min / 1e-9,
+              "alpha": params.alpha, "t_min_nK": params.T_min / NANOKELVIN,
               "n2_a": n2a, "n2_b": n2b, "n2_c": n2c}
     return {"budget_outcome.json": {k: _jsonable(v)
                                     for k, v in result.items()}}
@@ -406,17 +407,9 @@ def _cmd_phase_diagram(args, cfg: dict, raw: str) -> dict:
 _SWEEP_FIELDS = ("delta", "T", "T1", "T2", "N1", "N2")
 
 
-def _rates(pair: tuple) -> list:
-    """Overlap, pair collision rate, heat flow and thermalization rate: the
-    entries after the widths of one contact._rates_of result."""
-    return list(pair[1:])
-
-
 def _cmd_contact(args, cfg: dict, raw: str) -> dict:
     state = _state_from(cfg, raw, "config")
-    pair = _rates_of(state)
-    rx, ry, rz = pair[0]
-    overlap, gamma, w, rate = _rates(pair)
+    (rx, ry, rz), overlap, gamma, w, rate = _rates_of(state)
     files = {"contact_summary.json": {
         "rho_x_um": rx / MICROMETER, "rho_y_um": ry / MICROMETER,
         "rho_z_um": rz / MICROMETER, "delta_um": state.delta / MICROMETER,
@@ -446,8 +439,8 @@ def _cmd_contact(args, cfg: dict, raw: str) -> dict:
                 s = replace(state, **changes)
             except DomainError as exc:
                 raise ConfigError(f"--sweep value {float(v)}: {exc}")
-            pair = _rates_of(s)
-            rows.append([v, pair[0][2], *_rates(pair)])
+            (_, _, rho_z), *rates = _rates_of(s)
+            rows.append([v, rho_z, *rates])
         header = [var, "rho_z", "overlap", "gamma", "w", "inv_tau"]
         files[f"contact_sweep.{args.format}"] = (header, rows)
     return files

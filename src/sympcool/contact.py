@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import K_B
-from .errors import DomainError, require_finite, require_positive
+from .errors import require_finite, require_nonnegative, require_positive
 from .physics import TrapFrequencies
 
 _PI2 = math.pi ** 2
@@ -55,13 +55,10 @@ class TwoGasState:
     delta: float           # m
 
     def __post_init__(self):
-        require_finite(N1=self.N1, N2=self.N2, T1=self.T1, T2=self.T2,
-                       M1=self.M1, M2=self.M2, sigma12=self.sigma12,
-                       delta=self.delta)
         require_positive(N1=self.N1, N2=self.N2, T1=self.T1, T2=self.T2,
                          M1=self.M1, M2=self.M2)
-        if self.sigma12 < 0:
-            raise DomainError("sigma12 must be >= 0")
+        require_nonnegative(sigma12=self.sigma12)
+        require_finite(delta=self.delta)
 
     @classmethod
     def from_traps(cls, N1, N2, T1, T2, f1: TrapFrequencies,
@@ -149,7 +146,6 @@ def equivalent_mass(M1: float, M2: float) -> float:
     the single-trap relaxation formula captures the slowdown of
     interspecies thermalization for mismatched masses.
     """
-    require_finite(M1=M1, M2=M2)
     require_positive(M1=M1, M2=M2)
     return 8.0 * (M1 * M2) ** 2 / (M1 + M2) ** 3
 
@@ -177,10 +173,8 @@ def single_species_collision_rate(N: float, T: float, omega_bar: float,
     Equals n_bar sigma v_rel_bar with n_bar the density-weighted mean
     density and v_rel_bar the mean relative speed.
     """
-    require_finite(N=N, T=T, omega_bar=omega_bar, sigma=sigma, mass=mass)
     require_positive(N=N, T=T, omega_bar=omega_bar, mass=mass)
-    if sigma < 0:
-        raise DomainError("sigma must be >= 0")
+    require_nonnegative(sigma=sigma)
     return _self_rate(N, T, omega_bar ** 3, sigma, mass)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .constants import K_B
 from .errors import (CellUnderflowWarning, DomainError, InsufficientDecay,
-                     require_finite, require_positive)
+                     require_nonnegative, require_positive)
 from .physics import SpeciesState, TrapFrequencies
 
 
@@ -56,7 +56,9 @@ class ParticleEnsemble:
             raise DomainError("positions/velocities must both be (n, 3)")
         if len(self.positions) < 2:
             raise DomainError("an ensemble needs at least 2 test particles")
-        require_finite(weight=self.weight)
+        for name in ("positions", "velocities"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"{name} must be finite")
         require_positive(weight=self.weight)
 
     @property
@@ -85,9 +87,9 @@ class DsmcConfig:
         if len(self.ensembles) not in (1, 2) \
                 or len(self.traps) != len(self.ensembles):
             raise DomainError("need 1 or 2 ensembles with matching traps")
-        require_finite(dt=self.dt, t_end=self.t_end, cell_size=self.cell_size)
         require_positive(dt=self.dt, t_end=self.t_end,
                          cell_size=self.cell_size)
+        # ensembles are mutable: checked again, as they are now
         if not all(np.isfinite(e.positions).all()
                    and np.isfinite(e.velocities).all()
                    for e in self.ensembles):
@@ -178,9 +180,7 @@ def sample_equilibrium(species: SpeciesState, n: int, T: float,
     """
     if n < 2:
         raise DomainError("n must be at least 2")
-    require_finite(T=T)
-    if T < 0:
-        raise DomainError("T must be >= 0")
+    require_nonnegative(T=T)
     m = species.mass
     v_th = math.sqrt(K_B * T / m)
     omegas = np.array([trap.omega_x, trap.omega_y, trap.omega_z])

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the input
+checks: each numeric field goes to one require_* call, and
+require_positive and require_nonnegative check finiteness before sign."""
 
 from __future__ import annotations
 
@@ -21,10 +23,21 @@ def require_finite(**values) -> None:
 
 
 def require_positive(**values) -> None:
-    """DomainError "<name> must be positive" for the first value not > 0."""
+    """require_finite over all values, then DomainError "<name> must be
+    positive" for the first value not > 0."""
+    require_finite(**values)
     for name, value in values.items():
-        if not value > 0:
+        if value <= 0:
             raise DomainError(f"{name} must be positive")
+
+
+def require_nonnegative(**values) -> None:
+    """require_finite over all values, then DomainError "<name> must be
+    >= 0" for the first negative value."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise DomainError(f"{name} must be >= 0")
 
 
 class AntiTrapped(DomainError):

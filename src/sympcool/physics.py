@@ -13,16 +13,18 @@ and horizontal-radial frequencies are equal, while the weak (axial) axis
 
 keeps only the curvature term.  Gravity displaces each cloud down by
 sag = g / omega_z^2, so two sublevels with different stiffness sit at
-different heights.
+different heights.  TrapFrequencies takes the three axes and g and
+derives the sag and the geometric mean omega_bar itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from .constants import G_STANDARD, MU_B
 from .errors import (AntiTrapped, DomainError, RadialUnconfined,
-                     require_finite, require_positive)
+                     require_finite, require_nonnegative, require_positive)
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,9 @@ class SpeciesState:
     sigma_cross: float     # m^2, elastic cross section against the partner
 
     def __post_init__(self):
-        require_finite(mass=self.mass, sigma_self=self.sigma_self,
-                       sigma_cross=self.sigma_cross)
         require_positive(mass=self.mass)
-        if self.sigma_self < 0:
-            raise DomainError(f"{self.label}: sigma_self must be >= 0")
-        if self.sigma_cross < 0:
-            raise DomainError(f"{self.label}: sigma_cross must be >= 0")
+        require_nonnegative(sigma_self=self.sigma_self,
+                            sigma_cross=self.sigma_cross)
         if self.trap_sign <= 0:
             raise AntiTrapped(
                 f"{self.label}: (F={self.F}, mF={self.mF}) is not low-field "
@@ -71,46 +69,46 @@ class TrapConfig:
     gravity: float = G_STANDARD
 
     def __post_init__(self):
-        require_finite(B0=self.B0, G=self.G, C=self.C, gravity=self.gravity)
         require_positive(B0=self.B0, G=self.G, C=self.C)
-
-
-def _require_axes(omega_x, omega_y, omega_z) -> None:
-    require_finite(omega_x=omega_x, omega_y=omega_y, omega_z=omega_z)
-    require_positive(omega_x=omega_x, omega_y=omega_y, omega_z=omega_z)
+        require_finite(gravity=self.gravity)
 
 
 @dataclass(frozen=True)
 class TrapFrequencies:
-    """Angular trap frequencies [rad/s] plus the gravitational sag [m].
+    """Angular trap frequencies [rad/s] and the gravity [m/s^2] they hold
+    the cloud against.
 
-    omega_bar is the geometric mean (omega_x*omega_y*omega_z)^(1/3) and
-    sag * omega_z^2 equals the gravity used to build the instance.
+    omega_bar, the geometric mean (omega_x*omega_y*omega_z)^(1/3), and
+    sag = gravity / omega_z^2 [m] are derived at construction.
     """
 
     omega_x: float
     omega_y: float
     omega_z: float
-    omega_bar: float
-    sag: float
+    gravity: float = G_STANDARD
+    omega_bar: float = field(init=False)
+    sag: float = field(init=False)
 
     def __post_init__(self):
-        _require_axes(self.omega_x, self.omega_y, self.omega_z)
-        require_finite(omega_bar=self.omega_bar, sag=self.sag)
+        require_positive(omega_x=self.omega_x, omega_y=self.omega_y,
+                         omega_z=self.omega_z)
+        require_finite(gravity=self.gravity)
+        try:
+            sag = self.gravity / self.omega_z ** 2
+        except (OverflowError, ZeroDivisionError):
+            sag = math.inf
+        if not math.isfinite(sag):
+            raise DomainError(f"omega_z = {self.omega_z:.3g} rad/s puts the "
+                              "sag gravity / omega_z^2 out of range")
+        omega_bar = (self.omega_x * self.omega_y * self.omega_z) ** (1.0 / 3.0)
+        require_finite(omega_bar=omega_bar)
+        object.__setattr__(self, "omega_bar", omega_bar)
+        object.__setattr__(self, "sag", sag)
 
     @classmethod
-    def from_axes(cls, omega_x: float, omega_y: float, omega_z: float,
-                  gravity: float = G_STANDARD) -> "TrapFrequencies":
-        # checked here too: sag divides by omega_z ** 2
-        _require_axes(omega_x, omega_y, omega_z)
-        require_finite(gravity=gravity)
-        return cls(
-            omega_x=omega_x,
-            omega_y=omega_y,
-            omega_z=omega_z,
-            omega_bar=(omega_x * omega_y * omega_z) ** (1.0 / 3.0),
-            sag=gravity / omega_z ** 2,
-        )
+    def from_axes(cls, omega_x, omega_y, omega_z, gravity=G_STANDARD):
+        """The constructor under its earlier name."""
+        return cls(omega_x, omega_y, omega_z, gravity)
 
 
 def trap_frequencies(species: SpeciesState, trap: TrapConfig) -> TrapFrequencies:
@@ -129,5 +127,4 @@ def trap_frequencies(species: SpeciesState, trap: TrapConfig) -> TrapFrequencies
     scale = species.trap_sign * MU_B / (2.0 * species.mass)
     omega_z = (scale * radial_curv) ** 0.5
     omega_x = (scale * trap.C) ** 0.5
-    return TrapFrequencies.from_axes(omega_x, omega_z, omega_z,
-                                     gravity=trap.gravity)
+    return TrapFrequencies(omega_x, omega_z, omega_z, gravity=trap.gravity)

@@ -60,10 +60,8 @@ class RateDriven:
     sigma_self: float | None = None
 
     def __post_init__(self):
-        require_finite(prefactor=self.prefactor)
         require_positive(prefactor=self.prefactor)
         if self.sigma_self is not None:
-            require_finite(sigma_self=self.sigma_self)
             require_positive(sigma_self=self.sigma_self)
 
 
@@ -120,9 +118,7 @@ class TrajectoryConfig:
     stop_at_threshold: bool = False       # keep integrating past a BEC flag
 
     def __post_init__(self):
-        require_finite(eta=self.eta, t_end=self.t_end, dt_max=self.dt_max,
-                       bec_threshold=self.bec_threshold,
-                       psd_prefactor=self.psd_prefactor)
+        require_finite(eta=self.eta)
         require_positive(t_end=self.t_end, dt_max=self.dt_max,
                          bec_threshold=self.bec_threshold,
                          psd_prefactor=self.psd_prefactor)

@@ -1,7 +1,8 @@
 """Summary of paired benchmark runs (tools/bench_pairs.py) on synthetic
-run.py results."""
+run.py results, and its argument checks."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,29 @@ def test_cold_start_commands_cover_import_and_the_readme_examples():
     named = {arg for args in bench_pairs.COLD_COMMANDS.values()
              for arg in args if arg.endswith(".json")}
     assert named == set(bench_pairs.README_CONFIGS)
+
+
+def test_parse_claim():
+    workloads = ["traj_overlap", "cli_study"]
+    assert bench_pairs.parse_claim("cli_study:wall_s", workloads,
+                                   METRICS) == ("cli_study", "wall_s")
+    for bad in ("cli_study", "dsmc_thermalize:wall_s", "cli_study:cpu_s"):
+        with pytest.raises(ValueError, match="--claim"):
+            bench_pairs.parse_claim(bad, workloads, METRICS)
+
+
+@pytest.mark.parametrize("claim", ["traj_overlap", "cli_study:wall_s",
+                                   "traj_overlap:dsmc.run_s"])
+def test_bad_claim_stops_before_any_run(monkeypatch, capsys, claim):
+    """A claim without a colon, on a workload not run or on a metric that
+    is not end-to-end ends the script at argument parsing."""
+    def no_export(*args):
+        raise AssertionError("the runs started")
+    monkeypatch.setattr(bench_pairs, "export", no_export)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--out", "unused.json", "--change", "x",
+        "--workload", "traj_overlap", "--claim", claim])
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main()
+    assert stop.value.code == 2
+    assert "--claim" in capsys.readouterr().err

@@ -390,6 +390,13 @@ def test_phase_diagram_rejects_bad_ratio():
         phase_diagram([6.5], [0.5], trap_ratio=0.0)
 
 
+def test_phase_diagram_names_a_nan_ratio():
+    """NaN passed the old `trap_ratio <= 0` check and surfaced as
+    "omega2_bar must be finite"."""
+    with pytest.raises(DomainError, match="^trap_ratio must be finite$"):
+        phase_diagram([6.5], [0.5], trap_ratio=math.nan)
+
+
 @pytest.mark.parametrize("eta, omega2", [(3.001, 200.0), (3.001, 888.6),
                                          (3.01, 888.6), (3.02, 1.41 * 628.3)])
 def test_critical_numbers_refuse_eta_next_to_three(eta, omega2):

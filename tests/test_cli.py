@@ -1016,8 +1016,8 @@ def test_non_finite_result_is_runtime_error(tmp_path, capsys, monkeypatch):
     """A NaN that reaches an output is reported with exit 1, and no file
     is written, not even the ones rendered before it."""
     from sympcool import cli
-    monkeypatch.setattr(cli, "_rates",
-                        lambda s: [math.nan, 1.0, 1.0, 1.0])
+    monkeypatch.setattr(cli, "_rates_of", lambda s: (
+        (1e-6, 1e-6, 1e-6), math.nan, 1.0, 1.0, 1.0))
     cfg, _ = contact_state(tmp_path)
     out = tmp_path / "out"
     assert main(["contact", "--state", cfg, "--out", str(out),
@@ -1094,6 +1094,22 @@ def test_trap_radially_unconfined_names_the_gradient(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"(line {_line_of(path, 'G_kG_per_cm')})" in err
     assert "does not exceed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("omega_z", [1e200, 1e-170])
+def test_contact_extreme_omega_z_is_config_error(tmp_path, capsys, omega_z):
+    """omega_z ** 2 overflows (1e200) or underflows to 0 (1e-170), so the
+    sag g / omega_z^2 has no finite value: exit 2 at the key's line, not a
+    traceback."""
+    keys = ("trap1", "omega_z_rad_per_s")
+    obj = _with(contact_state(tmp_path)[1], keys, omega_z)
+    cfg = write_config(tmp_path / "extreme.json", obj)
+    out = tmp_path / "out"
+    assert main(["contact", "--state", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error (line {_written_line(obj, keys)})" in err
+    assert "omega_z_rad_per_s" in err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
-"""Every public input constructor refuses a NaN or infinite float field."""
+"""Every public input constructor refuses a NaN or infinite float field,
+and a NaN or infinite entry of a float array field."""
 
 import dataclasses
 import math
@@ -31,9 +32,10 @@ _VALID = (
     DsmcConfig(ensembles=(_ENS,), traps=(_F,), dt=1e-5, t_end=1e-3,
                cell_size=1e-6, rng_seed=1),
     _ENS)
-# every float field of each, as annotated ("float", or "float | None")
+# every float field each takes, as annotated ("float", "float | None", or
+# "np.ndarray" for an array of floats)
 _FIELDS = [(obj, f.name) for obj in _VALID for f in dataclasses.fields(obj)
-           if f.type.split(" |")[0] == "float"]
+           if f.init and f.type.split(" |")[0] in ("float", "np.ndarray")]
 
 
 def test_every_constructor_has_float_fields():
@@ -44,5 +46,9 @@ def test_every_constructor_has_float_fields():
 @pytest.mark.parametrize("obj, field", _FIELDS, ids=[
     f"{type(obj).__name__}.{field}" for obj, field in _FIELDS])
 def test_non_finite_float_field_raises_domain_error(obj, field, value):
+    if isinstance(getattr(obj, field), np.ndarray):
+        array = getattr(obj, field).copy()
+        array[1, 2] = value         # one bad entry
+        value = array
     with pytest.raises(DomainError, match=rf"\b{field} must be finite"):
         dataclasses.replace(obj, **{field: value})

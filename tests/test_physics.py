@@ -5,10 +5,13 @@ constants shipped in sympcool.constants and are pinned at tight relative
 tolerances so any silent change of the formulas or constants fails loudly.
 """
 
+import dataclasses
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sympcool import (
     MASS_RB87,
@@ -254,6 +257,48 @@ def test_from_axes_sag_and_mean():
     assert f.sag == pytest.approx(G_STANDARD / (2 * math.pi * 125) ** 2,
                                   rel=1e-14)
     assert f.omega_bar == pytest.approx(2 * math.pi * 100.0, rel=1e-12)
+
+
+def test_trap_frequencies_take_axes_and_gravity_only():
+    f = TrapFrequencies(100.0, 200.0, 300.0, gravity=5.0)
+    assert [x.name for x in dataclasses.fields(f) if x.init] == [
+        "omega_x", "omega_y", "omega_z", "gravity"]
+    assert TrapFrequencies.from_axes(100.0, 200.0, 300.0, gravity=5.0) == f
+    assert dataclasses.replace(f, gravity=0.0).sag == 0.0
+
+
+def _old_from_axes(wx, wy, wz, g):
+    """omega_bar and sag as from_axes computed them when they were fields,
+    or None where those expressions raised."""
+    try:
+        return (wx * wy * wz) ** (1.0 / 3.0), g / wz ** 2
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
+_AXIS = st.floats(1e-200, 1e200)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(wx=_AXIS, wy=_AXIS, wz=_AXIS,
+       g=st.floats(allow_nan=False, allow_infinity=False))
+def test_trap_frequencies_derive_the_old_values_or_refuse(wx, wy, wz, g):
+    """Finite positive axes and a finite gravity build the omega_bar and
+    sag of the old expressions bit for bit, or raise DomainError where
+    those are not finite; never another exception."""
+    old = _old_from_axes(wx, wy, wz, g)
+    try:
+        f = TrapFrequencies(wx, wy, wz, g)
+    except DomainError:
+        assert old is None or not all(map(math.isfinite, old))
+    else:
+        assert (f.omega_bar.hex(), f.sag.hex()) == tuple(v.hex() for v in old)
+
+
+@pytest.mark.parametrize("omega_z", [1e200, 1e-170])
+def test_extreme_omega_z_is_domain_error_naming_it(omega_z):
+    with pytest.raises(DomainError, match="^omega_z = "):
+        TrapFrequencies(1.0, 1.0, omega_z)
 
 
 def test_boltzmann_constant_is_exact_si():

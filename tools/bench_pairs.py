@@ -255,6 +255,21 @@ def cold_starts(sides: dict[str, Path], tmp: Path) -> dict:
     return cold_start_summary(times["parent"], times["change"])
 
 
+def parse_claim(text: str, workloads, metrics) -> tuple[str, str]:
+    """(workload, metric) of a --claim WORKLOAD:METRIC; ValueError unless
+    the workload is among those run and the metric is end-to-end."""
+    workload, colon, metric = text.partition(":")
+    if not colon:
+        raise ValueError(f"--claim {text!r} is not WORKLOAD:METRIC")
+    if workload not in workloads:
+        raise ValueError(f"--claim workload {workload!r} is not among the "
+                         f"workloads run: {', '.join(workloads)}")
+    if metric not in metrics:
+        raise ValueError(f"--claim metric {metric!r} is not an end-to-end "
+                         f"metric: {', '.join(metrics)}")
+    return workload, metric
+
+
 def parse_seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -277,6 +292,11 @@ def main() -> None:
     seeds = parse_seeds(args.seeds)
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    if args.claim:      # checked before the runs, which take about 40 min
+        try:
+            claim = parse_claim(args.claim, workloads, metrics)
+        except ValueError as exc:
+            ap.error(str(exc))
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base = Path(tmp) / "base"
@@ -315,7 +335,7 @@ def main() -> None:
             result["workloads"][workload] = summarize(
                 runs["parent"], runs["change"], metrics)
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, metric = claim
         result["claim"] = {"metric": f"{workload} {metric}",
                            **claim_verdict(result["workloads"][workload],
                                            metric)}
