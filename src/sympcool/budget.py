@@ -27,6 +27,15 @@ the first threshold crossings in time instead.
 
 Only that scan's root finding uses scipy, imported where it runs, so the
 closed-form path never loads scipy.
+
+temperature_of and phase_space_density, and so psd_curves, take a
+plain-float path for float or int inputs (np.float64 included): Python
+float arithmetic rounds as numpy's 0-d arrays do, ** through libm pow in
+both, so the results equal the numpy path bit for bit.  Arrays keep
+numpy, whose SIMD array power differs from libm in the last bit on some
+inputs.  A scalar out of the domain, or whose result overflows, also
+goes through numpy, which raises or warns as before (np.errstate
+included).
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .errors import (DomainError, NoInteriorPeak, require_finite,
 
 SCAN_POINTS = 4096  # default grid for the numeric regime scan
 _TINY = np.finfo(float).tiny    # smallest positive normal float
+_SCALAR = (float, int)          # the inputs that take the plain-float path
 
 
 class Region(enum.Enum):
@@ -142,6 +152,13 @@ def temperature_of(N1, p: BudgetParams):
     N1 = 0; at N1 = N1_ini it sits a relative ~N2/N1_ini above T_ini
     because the closed form drops N2 against N1_ini.
     """
+    if isinstance(N1, _SCALAR) and 0 <= N1 <= p.N1_ini * (1 + 1e-12):
+        try:
+            T = p.T_min * (float(N1) / p.N2 + 1.0) ** p.alpha
+        except OverflowError:
+            T = math.inf
+        if T < math.inf:
+            return T
     N1 = np.asarray(N1, dtype=float)
     # written so that NaN fails the check
     if not ((N1 >= 0).all() and (N1 <= p.N1_ini * (1 + 1e-12)).all()):
@@ -156,6 +173,14 @@ def phase_space_density(N, T, omega_bar):
     Identical to n0 * lambda_dB^3 for a Boltzmann cloud in a harmonic trap
     of geometric-mean frequency omega_bar.  No quantum calibration applied.
     """
+    require_positive(omega_bar=omega_bar)
+    if isinstance(N, _SCALAR) and isinstance(T, _SCALAR) and N >= 0 and T > 0:
+        try:
+            D = _psd(float(N), float(T), HBAR * omega_bar)
+        except ArithmeticError:     # ** overflows, or K_B T underflows to 0
+            D = math.inf
+        if D < math.inf:
+            return D
     N = np.asarray(N, dtype=float)
     T = np.asarray(T, dtype=float)
     # written so that NaN fails the checks
@@ -165,6 +190,20 @@ def phase_space_density(N, T, omega_bar):
         raise DomainError("T must be positive")
     D = N * (HBAR * omega_bar / (K_B * T)) ** 3
     return float(D) if D.ndim == 0 else D
+
+
+def _psd(N: float, T: float, hbar_omega: float) -> float:
+    """Peak phase-space density of one float N and T, given HBAR * omega_bar;
+    unchecked, so the caller owns N >= 0, T > 0 and omega_bar > 0.
+
+    The float path of phase_space_density, and the trajectory's
+    per-sample densities.  float ** 3 goes through libm pow, as numpy's
+    power on 0-d arrays and np.float64 does, so the bits equal numpy's on
+    scalars; its SIMD power on arrays differs in the last bit on some
+    inputs, which is why the trajectory loops over scalars instead of
+    taking arrays.
+    """
+    return N * (hbar_omega / (K_B * T)) ** 3
 
 
 def psd_curves(N1, p: BudgetParams):

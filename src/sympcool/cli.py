@@ -24,6 +24,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import re
 import sys
 import time
@@ -189,15 +190,22 @@ def _cell(c, as_json: bool):
     return _jsonable(float(c)) if as_json else repr(float(c))
 
 
+def _column_text(column) -> list[str]:
+    """The CSV cells of one column as _cell writes them: a column of
+    floats by float.__repr__ in one pass, any other cell by cell."""
+    if all(isinstance(c, float) for c in column):
+        return list(map(float.__repr__, column))
+    return [_cell(c, False) for c in column]
+
+
 def _table_text(name: str, header, rows) -> str:
     """One table as CSV (floats by repr, booleans 0/1) or, by the file
     suffix, as a JSON list of row objects (NaN and infinities null)."""
     if name.endswith(".json"):
         return _json_text(name, [
             {h: _cell(c, True) for h, c in zip(header, row)} for row in rows])
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(c, False) for c in row))
+    columns = [_column_text(column) for column in zip(*rows)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -470,7 +478,7 @@ def _cmd_traj(args, cfg: dict, raw: str) -> dict:
         energy = {"energy_removed_J": float(-removed[-1]),
                   "energy_total_final_J": float(total[-1]),
                   "max_drift_J": float(drift)}
-    rows = [[getattr(p, h) for h in header] for p in points]
+    rows = list(map(operator.attrgetter(*header), points))
     files = {name: (header, rows),
              "traj_events.json": {
                  "region": region_of_events(events).value,

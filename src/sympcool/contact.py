@@ -25,14 +25,17 @@ it reproduces the same formula with M replaced by the equivalent mass
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import K_B
-from .errors import require_finite, require_nonnegative, require_positive
+from .errors import (DomainError, require_finite, require_nonnegative,
+                     require_positive)
 from .physics import TrapFrequencies
 
 _PI2 = math.pi ** 2
 _TWO_PI2_KB = 2.0 * math.pi ** 2 * K_B
+_TINY = sys.float_info.min      # smallest positive normal float
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,9 @@ class TwoGasState:
     """Instantaneous two-species state (strict SI).
 
     delta is the vertical distance between the cloud centres; the factory
-    from_traps fills it from the trap sags.
+    from_traps fills it from the trap sags.  Each trap term M_i omega_ia^2
+    of the pair density must be a positive normal float: one that under-
+    or overflows would divide by zero in the pair widths.
     """
 
     N1: float
@@ -59,6 +64,14 @@ class TwoGasState:
                          M1=self.M1, M2=self.M2)
         require_nonnegative(sigma12=self.sigma12)
         require_finite(delta=self.delta)
+        for i, M, f in ((1, self.M1, self.f1), (2, self.M2, self.f2)):
+            try:
+                terms = _trap_terms(M, f)
+            except OverflowError:   # omega ** 2 leaves the floats
+                terms = (math.inf,)
+            if not all(_TINY <= k < math.inf for k in terms):
+                raise DomainError(f"f{i}: the trap term M{i} omega^2 of an "
+                                  "axis is not a positive normal float")
 
     @classmethod
     def from_traps(cls, N1, N2, T1, T2, f1: TrapFrequencies,
@@ -67,13 +80,15 @@ class TwoGasState:
                    sigma12=sigma12, delta=f1.sag - f2.sag)
 
 
+def _trap_terms(M: float, f: TrapFrequencies) -> tuple:
+    """(M wx^2, M wy^2, M wz^2): one trap's terms of the pair density."""
+    return (M * f.omega_x ** 2, M * f.omega_y ** 2, M * f.omega_z ** 2)
+
+
 def _stiffness(s: TwoGasState) -> tuple:
     """Per-axis pairs (M1 w1a^2, M2 w2a^2): the trap terms of the pair
     density, fixed while N and T change."""
-    f1, f2 = s.f1, s.f2
-    return ((s.M1 * f1.omega_x ** 2, s.M2 * f2.omega_x ** 2),
-            (s.M1 * f1.omega_y ** 2, s.M2 * f2.omega_y ** 2),
-            (s.M1 * f1.omega_z ** 2, s.M2 * f2.omega_z ** 2))
+    return tuple(zip(_trap_terms(s.M1, s.f1), _trap_terms(s.M2, s.f2)))
 
 
 def _pair_rates(N1, N2, T1, T2, M1, M2, stiffness, sigma12, delta2):

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .budget import BudgetParams, Region, _region, temperature_of
+from .budget import BudgetParams, Region, _psd, _region, temperature_of
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
 from .contact import (TwoGasState, _pair_rates, _self_rate, _stiffness,
                       transfer_efficiency)
@@ -160,18 +160,6 @@ class TrajectoryEvent:
     T2: float
 
 
-def _psd(N: float, T: float, hbar_omega: float) -> float:
-    """phase_space_density for one float N and T, given HBAR * omega_bar.
-
-    float ** 3 rounds through libm pow as numpy's scalar power does, so the
-    bits match phase_space_density on scalars; numpy's array power (SIMD)
-    differs in the last bit on some inputs, so this stays a scalar loop.
-    """
-    if T <= 0:
-        raise DomainError("T must be positive")
-    return N * (hbar_omega / (K_B * T)) ** 3
-
-
 class _Model:
     """The per-config constants of one trajectory, computed once, and the
     functions the integrator and the point builder evaluate on them.
@@ -235,9 +223,13 @@ class _Model:
         return (nd, dT1, dT2, nd * self.eta_p1 * K_B * t1)
 
     def d1(self, N1, T1):
+        if T1 <= 0:
+            raise DomainError("T must be positive")
         return self.psd_prefactor * _psd(N1, T1, self.hbar_omega1)
 
     def d2(self, T2):
+        if T2 <= 0:
+            raise DomainError("T must be positive")
         return self.psd_prefactor * _psd(self.N2, T2, self.hbar_omega2)
 
     def points(self, ts, N1s, T1s, T2s, stop=False) -> list[TrajectoryPoint]:
@@ -261,10 +253,8 @@ class _Model:
             bec1 = bec1 or d1 >= self.latch
             bec2 = bec2 or d2 >= self.latch
             stalled = stalled or (ov < STALL_OVERLAP and nd < 0)
-            pts.append(TrajectoryPoint(t=t, N1=n1, T1=t1, T2=t2, D1=d1,
-                                       D2=d2, Gamma=gamma, overlap=ov,
-                                       stalled=stalled, bec1=bec1,
-                                       bec2=bec2))
+            pts.append(TrajectoryPoint(t, n1, t1, t2, d1, d2, gamma, ov,
+                                       stalled, bec1, bec2))
             if stop and (d1 >= self.threshold or d2 >= self.threshold):
                 break
         return pts

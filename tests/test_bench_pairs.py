@@ -61,6 +61,26 @@ def test_claim_needs_nine_pairs_and_a_gap_beyond_the_parent_spread():
         "not met")
 
 
+def test_layer_summary_keeps_small_values_and_skips_idle_layers():
+    """Traced runs go through the same summary: per-layer values of some
+    microseconds keep six significant digits, and a layer that does not
+    run on the workload (0 on both sides) has no relative change."""
+    def traced(classify_ms, calls):
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+            "budget.classify_ms_per_cell": {"value": classify_ms,
+                                            "unit": "ms"},
+            "contact.calls": {"value": calls, "unit": "count"}}}
+    layers = {"budget.classify_ms_per_cell": "ms", "contact.calls": "count"}
+    s = bench_pairs.summarize([traced(1.234567e-4, 0)] * 3,
+                              [traced(6.5e-5, 0)] * 3, layers)
+    cell = s["budget.classify_ms_per_cell"]
+    assert cell["parent"]["median"] == 1.23457e-4
+    assert cell["change_runs"] == [6.5e-5] * 3
+    assert cell["relative_change_of_median"] == round(6.5 / 12.3457 - 1, 3)
+    assert cell["change_lower_in_pairs"] == "3/3"
+    assert s["contact.calls"]["relative_change_of_median"] is None
+
+
 def test_summary_rejects_unpaired_runs():
     with pytest.raises(ValueError):
         bench_pairs.summarize([_run(1.0)], [], METRICS)

@@ -150,6 +150,81 @@ def test_psd_curves_reject_nan():
         psd_curves(math.nan, CANON)
 
 
+@pytest.mark.parametrize("omega_bar, message", [
+    (math.nan, "must be finite"), (math.inf, "must be finite"),
+    (-5.0, "must be positive"), (0.0, "must be positive")])
+@pytest.mark.parametrize("N", [1e4, np.array([1e4, 2e4])],
+                         ids=["scalar", "array"])
+def test_psd_rejects_bad_omega_bar(N, omega_bar, message):
+    """NaN gave NaN, -5 a negative density and inf an infinite one."""
+    with pytest.raises(DomainError, match=f"^omega_bar {message}$"):
+        phase_space_density(N, 1e-6, omega_bar)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_WRAP = st.sampled_from([float, np.float64])
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.floats(0.0, 1e12), T=st.floats(1e-12, 1e-2),
+       omega=st.floats(1.0, 1e5), wrap=_WRAP)
+def test_psd_float_path_equals_0d_numpy_bit_for_bit(N, T, omega, wrap):
+    """Scalars take plain floats, 0-d arrays numpy: the same bits."""
+    got = phase_space_density(wrap(N), wrap(T), omega)
+    want = phase_space_density(np.array(N), np.array(T), omega)
+    assert type(got) is float and _bits(got) == _bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eta=st.floats(2.05, 12.0), N1_ini=st.floats(1e3, 1e12),
+       n2=st.floats(1e-6, 0.9), T_ini=st.floats(1e-12, 1e-2),
+       omega1=st.floats(1.0, 1e5), omega2=st.floats(1.0, 1e5),
+       x=st.floats(0.0, 1.0), wrap=_WRAP)
+def test_budget_float_path_equals_0d_numpy_bit_for_bit(
+        eta, N1_ini, n2, T_ini, omega1, omega2, x, wrap):
+    p = BudgetParams(eta=eta, N1_ini=N1_ini, N2=n2 * N1_ini, T_ini=T_ini,
+                     omega1_bar=omega1, omega2_bar=omega2)
+    n1 = x * N1_ini
+    T = temperature_of(wrap(n1), p)
+    T_ref = temperature_of(np.array(n1), p)
+    assert type(T) is float and _bits(T) == _bits(T_ref)
+    want = [p.psd_prefactor * phase_space_density(np.array(N), np.array(T),
+                                                  omega)
+            for N, omega in ((n1, omega1), (p.N2, omega2))]
+    got = psd_curves(wrap(n1), p)
+    assert all(type(d) is float for d in got)
+    assert list(map(_bits, got)) == list(map(_bits, want))
+
+
+def test_scalar_overflow_still_obeys_errstate():
+    """A scalar whose density overflows goes through numpy, so the
+    caller's np.errstate decides between inf and FloatingPointError."""
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            phase_space_density(1e300, 1e-30, 1e5)
+    with np.errstate(over="ignore"):
+        assert phase_space_density(1e300, 1e-30, 1e5) == math.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(eta=st.floats(3.2, 12.0), ratio=st.floats(1e-3, 3.0))
+def test_classify_numbers_equal_the_separate_closed_forms(eta, ratio):
+    """classify's decision numbers are those of target_psd_max,
+    buffer_psd_max and equal_psd, bit for bit."""
+    p = replace(CANON, eta=eta)
+    assume(_closed_form_ordering(p))
+    n2 = ratio * critical_numbers(p)[2]
+    assume(n2 < p.N1_ini)
+    out = classify(n2, p)
+    q = replace(p, N2=n2)
+    assert _bits(out.D2_max) == _bits(target_psd_max(q))
+    assert _bits(out.D1_max) == _bits(buffer_psd_max(q)[1])
+    assert _bits(out.D_equal) == _bits(equal_psd(q))
+
+
 def test_target_endpoint_matches_curve_at_zero():
     _, d2 = psd_curves(0.0, CANON)
     assert target_psd_max(CANON) == pytest.approx(d2, rel=1e-13)

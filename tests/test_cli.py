@@ -1012,6 +1012,49 @@ def test_json_writer_refuses_non_finite():
         _json_text("budget_outcome.json", {"t_min_nK": math.nan})
 
 
+def _csv_by_row(header, rows):
+    """The CSV writer before it formatted by column: every cell through
+    _cell, row by row."""
+    from sympcool.cli import _cell
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell(c, False) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                  5e-324, -2.5e-310, 1e300, -1e-300]))
+_COLUMN_CELLS = {
+    "float": _FLOATS, "float64": _FLOATS.map(np.float64),
+    "bool": st.booleans(), "bool_": st.booleans().map(np.bool_),
+    "str": st.text(alphabet="abcXYZ_ ", max_size=6),
+    "mixed": st.one_of(_FLOATS, _FLOATS.map(np.float64), st.booleans(),
+                       st.integers(-10, 10))}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_CELLS)),
+                          min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 6))
+    columns = [draw(st.lists(_COLUMN_CELLS[k], min_size=n_rows,
+                             max_size=n_rows)) for k in kinds]
+    header = [f"c{i}" for i in range(len(kinds))]
+    return header, [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+def test_csv_by_column_equals_csv_by_row(table):
+    """Float columns go through float.__repr__ in one pass, any other
+    column cell by cell; the text is the row-wise rendering's, for a
+    header-only table too."""
+    from sympcool.cli import _table_text
+    header, rows = table
+    assert _table_text("t.csv", header, rows) == _csv_by_row(header, rows)
+
+
 def test_non_finite_result_is_runtime_error(tmp_path, capsys, monkeypatch):
     """A NaN that reaches an output is reported with exit 1, and no file
     is written, not even the ones rendered before it."""
@@ -1110,6 +1153,30 @@ def test_contact_extreme_omega_z_is_config_error(tmp_path, capsys, omega_z):
     err = capsys.readouterr().err
     assert f"config error (line {_written_line(obj, keys)})" in err
     assert "omega_z_rad_per_s" in err
+    assert not out.exists()
+
+
+_TINY_AXES = {"omega_x_rad_per_s": 1e-150, "omega_y_rad_per_s": 1e-150,
+              "omega_z_rad_per_s": 1e-140, "gravity_m_per_s2": 0.0}
+
+
+@pytest.mark.parametrize("trap", ["trap1", "trap2"])
+@pytest.mark.parametrize("cmd", ["contact", "traj"])
+def test_tiny_trap_axes_are_config_error(tmp_path, capsys, cmd, trap):
+    """M omega^2 of these axes underflows to 0, which divided by zero in
+    the pair widths (a ZeroDivisionError traceback); now exit 2 at the
+    trap's line."""
+    if cmd == "contact":
+        keys, obj = (trap,), contact_state(tmp_path)[1]
+    else:
+        keys, obj = ("initial", trap), traj_config(tmp_path)[1]
+    obj = _with(obj, keys, _TINY_AXES)
+    cfg = write_config(tmp_path / "tiny.json", obj)
+    out = tmp_path / "out"
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error (line {_written_line(obj, keys)})" in err
+    assert f"key '{trap}'" in err and "positive normal float" in err
     assert not out.exists()
 
 

@@ -256,6 +256,19 @@ def test_state_validation():
         _state(M2=0.0)
 
 
+@pytest.mark.parametrize("axes", [(1e-150, 1e-150, 1e-140),
+                                  (1e-170, 628.3, 628.3),
+                                  (1e200, 628.3, 628.3)])
+@pytest.mark.parametrize("which", ["f1", "f2"])
+def test_state_rejects_trap_terms_out_of_range(which, axes):
+    """M omega^2 of an axis that underflows to 0 divided by zero in the
+    pair widths; one that overflows stopped _stiffness.  Both are a
+    DomainError naming the trap, whose sag and omega_bar are finite."""
+    f = TrapFrequencies(*axes, gravity=0.0)
+    with pytest.raises(DomainError, match=f"^{which}: .* positive normal"):
+        _state(**{which: f})
+
+
 def test_rate_function_validation():
     with pytest.raises(DomainError):
         single_species_collision_rate(0.0, 1e-6, F0.omega_bar, 1e-15,

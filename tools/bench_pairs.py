@@ -21,7 +21,11 @@ median and quartiles (linear interpolation), the relative change of the
 median, in how many pairs the change was lower, and every run.  With
 --claim, a "claim" entry says whether the change is lower in at least
 nine of ten pairs and its median lies below the base's by more than the
-base's interquartile range.
+base's interquartile range, and "layers" summarizes the per-layer
+metrics the same way over TRACE_PAIRS alternating pairs of traced runs
+(--trace 1) on the claimed workload and the first TRACE_PAIRS seeds, to
+show in which layer the saving sits; one traced run swings by a fifth
+on layers a change does not touch.
 
 Before the workloads, every side's cold start is timed: a fresh
 interpreter on `import sympcool, sympcool.cli`, and one on each README
@@ -50,6 +54,7 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+TRACE_PAIRS = 5
 COLD_STARTS = 7
 
 _W = {"omega_x_rad_per_s": 628.3, "omega_y_rad_per_s": 628.3,
@@ -90,11 +95,16 @@ COLD_COMMANDS = {
 }
 
 
+def _sig(x) -> float:
+    """x to six significant digits, so that per-layer values of some
+    microseconds keep their precision."""
+    return float(f"{x:.6g}")
+
+
 def quartiles(values) -> dict:
     q1, med, q3 = np.percentile(np.asarray(values, dtype=float),
                                 [25, 50, 75])
-    return {"median": round(float(med), 4), "q1": round(float(q1), 4),
-            "q3": round(float(q3), 4)}
+    return {"median": _sig(med), "q1": _sig(q1), "q3": _sig(q3)}
 
 
 def summarize(base_runs: list[dict], change_runs: list[dict],
@@ -102,8 +112,9 @@ def summarize(base_runs: list[dict], change_runs: list[dict],
     """One workload's summary from paired run.py results.
 
     base_runs[i] and change_runs[i] are the JSON results of pair i;
-    metrics maps each end-to-end metric to its unit.  A tie counts for
-    neither side in the pair count.
+    metrics maps each metric to its unit.  A tie counts for neither side
+    in the pair count, and the relative change is None where the
+    parent's median is 0 (a layer that does not run on the workload).
     """
     if len(base_runs) != len(change_runs) or not base_runs:
         raise ValueError("need the same positive number of runs per side")
@@ -116,17 +127,16 @@ def summarize(base_runs: list[dict], change_runs: list[dict],
                               for side, runs in sides.items()},
     }
     for name, unit in metrics.items():
-        values = {side: [round(r["metrics"][name]["value"], 4)
-                         for r in runs]
+        values = {side: [_sig(r["metrics"][name]["value"]) for r in runs]
                   for side, runs in sides.items()}
         stats = {side: quartiles(v) for side, v in values.items()}
         lower = sum(c < b for b, c in zip(values["parent"],
                                           values["change"]))
+        base, change = stats["parent"]["median"], stats["change"]["median"]
         out[name] = {
             "unit": unit, **stats,
-            "relative_change_of_median": round(
-                stats["change"]["median"] / stats["parent"]["median"] - 1.0,
-                3),
+            "relative_change_of_median": (round(change / base - 1.0, 3)
+                                          if base else None),
             "change_lower_in_pairs": f"{lower}/{len(base_runs)}",
             "parent_runs": values["parent"], "change_runs": values["change"],
         }
@@ -201,10 +211,12 @@ def export(commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds,
+             trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace",
+         str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -292,6 +304,7 @@ def main() -> None:
     seeds = parse_seeds(args.seeds)
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    layers = {m["name"]: m["unit"] for m in spec["per_layer"]}
     if args.claim:      # checked before the runs, which take about 40 min
         try:
             claim = parse_claim(args.claim, workloads, metrics)
@@ -320,25 +333,31 @@ def main() -> None:
                                       Path(tmp)),
             "workloads": {},
         }
-        for workload in workloads:
+
+        def pairs(workload, seeds, trace, shown):
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
                 order = (("parent", base), ("change", ROOT))
                 for side, checkout in order if i % 2 == 0 else order[::-1]:
-                    r = run_once(checkout, workload, seed, seconds)
+                    r = run_once(checkout, workload, seed, seconds, trace)
                     runs[side].append(r)
                     print(f"{workload} seed {seed} {side}: "
                           f"correct={r['correct']} "
                           f"failed={r['failed']}/{r['attempted']} "
                           + " ".join(f"{k}={r['metrics'][k]['value']:.4g}"
-                                     for k in metrics), flush=True)
+                                     for k in shown), flush=True)
+            return runs["parent"], runs["change"]
+
+        for workload in workloads:
             result["workloads"][workload] = summarize(
-                runs["parent"], runs["change"], metrics)
-    if args.claim:
-        workload, metric = claim
-        result["claim"] = {"metric": f"{workload} {metric}",
-                           **claim_verdict(result["workloads"][workload],
-                                           metric)}
+                *pairs(workload, seeds, 0, metrics), metrics)
+        if args.claim:
+            workload, metric = claim
+            result["claim"] = {
+                "metric": f"{workload} {metric}",
+                **claim_verdict(result["workloads"][workload], metric),
+                "layers": summarize(
+                    *pairs(workload, seeds[:TRACE_PAIRS], 1, ()), layers)}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n",
                               encoding="utf-8")
 
