@@ -85,38 +85,43 @@ def _trap_terms(M: float, f: TrapFrequencies) -> tuple:
     return (M * f.omega_x ** 2, M * f.omega_y ** 2, M * f.omega_z ** 2)
 
 
-def _stiffness(s: TwoGasState) -> tuple:
-    """Per-axis pairs (M1 w1a^2, M2 w2a^2): the trap terms of the pair
-    density, fixed while N and T change."""
-    return tuple(zip(_trap_terms(s.M1, s.f1), _trap_terms(s.M2, s.f2)))
-
-
-def _pair_rates(N1, N2, T1, T2, M1, M2, stiffness, sigma12, delta2):
-    """((rho_x, rho_y, rho_z), overlap, Gamma) of two Gaussian clouds from
-    the trap terms _stiffness and delta2 = delta^2.
+def _pair_rates(s: TwoGasState):
+    """rates(N1, T1, T2) -> ((rho_x, rho_y, rho_z), overlap, Gamma) of two
+    Gaussian clouds with the rest of state s: its trap terms, N2, masses,
+    sigma12 and delta bound once.
 
     rho_a^2 = k_B T1/(M1 w1a^2) + k_B T2/(M2 w2a^2), the overlap factor is
     exp(-delta^2 / (2 rho_z^2)), and Gamma is the cross-collision rate of
-    the module docstring.
+    the module docstring.  Widths that underflow to 0 (clouds far colder
+    than their traps are stiff) are a DomainError.
     """
-    kt1 = K_B * T1
-    kt2 = K_B * T2
-    (x1, x2), (y1, y2), (z1, z2) = stiffness
-    rx = math.sqrt(kt1 / x1 + kt2 / x2)
-    ry = math.sqrt(kt1 / y1 + kt2 / y2)
-    rz = math.sqrt(kt1 / z1 + kt2 / z2)
-    overlap = math.exp(-delta2 / (2.0 * rz ** 2))
-    v = math.sqrt(kt1 / M1 + kt2 / M2)
-    gamma = N1 * N2 / (_PI2 * rx * ry * rz) * sigma12 * v * overlap
-    return (rx, ry, rz), overlap, gamma
+    N2, M1, M2, sigma12 = s.N2, s.M1, s.M2, s.sigma12
+    delta2 = s.delta ** 2
+    (x1, y1, z1), (x2, y2, z2) = _trap_terms(M1, s.f1), _trap_terms(M2, s.f2)
+
+    def rates(N1, T1, T2):
+        kt1 = K_B * T1
+        kt2 = K_B * T2
+        rx = math.sqrt(kt1 / x1 + kt2 / x2)
+        ry = math.sqrt(kt1 / y1 + kt2 / y2)
+        rz = math.sqrt(kt1 / z1 + kt2 / z2)
+        rz2 = rz ** 2
+        volume = _PI2 * rx * ry * rz
+        if volume == 0 or rz2 == 0:
+            raise DomainError("the pair widths underflow to 0: the clouds "
+                              "are too cold for their traps")
+        overlap = math.exp(-delta2 / (2.0 * rz2))
+        v = math.sqrt(kt1 / M1 + kt2 / M2)
+        gamma = N1 * N2 / volume * sigma12 * v * overlap
+        return (rx, ry, rz), overlap, gamma
+    return rates
 
 
 def _rates_of(s: TwoGasState):
     """(rms_sizes, overlap_factor, interspecies_collision_rate,
     energy_exchange_rate, interspecies_thermalization_rate) of one state,
     from one pair-rate evaluation."""
-    rho, overlap, gamma = _pair_rates(s.N1, s.N2, s.T1, s.T2, s.M1, s.M2,
-                                      _stiffness(s), s.sigma12, s.delta ** 2)
+    rho, overlap, gamma = _pair_rates(s)(s.N1, s.T1, s.T2)
     w = K_B * (s.T2 - s.T1) * gamma
     inv_tau = (transfer_efficiency(s.M1, s.M2) * gamma
                * (s.N1 + s.N2) / (3.0 * s.N1 * s.N2))

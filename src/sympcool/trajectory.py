@@ -20,16 +20,21 @@ removing atoms.
 
 Only the integration uses scipy, imported where it runs: the RK45 set-up
 (first step and Dormand-Prince tableau) and brentq for event roots.  The
-steps are taken here and _dense evaluates their interpolants, for roots
-and samples alike, in scipy's numpy operations and order, so every float
-equals solve_ivp's.  Finite mode integrates, and so does instant mode on
-a rate-driven schedule; an instant-mode ramp never loads scipy.
+steps are taken here in scipy's operations and order, so every float
+equals solve_ivp's.  Each step runs on a list of plain floats; numpy does
+per step only the seven products with the stage matrix (five stage
+arguments, the solution and error rows), the error norm's dot and the
+interpolant coefficients, whose summation order the bits depend on.
+_dense evaluates the interpolants, for roots and samples alike, in
+scipy's numpy operations.  Finite mode integrates, and so does instant
+mode on a rate-driven schedule; an instant-mode ramp never loads scipy.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Sequence, Union
@@ -38,7 +43,7 @@ import numpy as np
 
 from .budget import BudgetParams, Region, _psd, _region, temperature_of
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
-from .contact import (TwoGasState, _pair_rates, _self_rate, _stiffness,
+from .contact import (TwoGasState, _pair_rates, _self_rate,
                       transfer_efficiency)
 from .errors import (DomainError, StepFailure, require_finite,
                      require_positive)
@@ -161,8 +166,10 @@ class TrajectoryEvent:
 
 
 class _Model:
-    """The per-config constants of one trajectory, computed once, and the
-    functions the integrator and the point builder evaluate on them.
+    """The per-config constants of one trajectory, bound once, and the
+    functions the integrator and the point builder evaluate on them: rhs,
+    the crossing functions and points take any sequence of floats (a
+    list, a tuple or an ndarray) as the state.
 
     Every expression keeps the evaluation order of the contact and budget
     functions it stands for, so each float is bit-identical to theirs.
@@ -171,10 +178,7 @@ class _Model:
     def __init__(self, cfg: TrajectoryConfig):
         s = cfg.initial
         self.N2 = s.N2
-        self.M1, self.M2 = s.M1, s.M2
-        self.sigma12 = s.sigma12
-        self.stiffness = _stiffness(s)          # M_i omega_ia^2 per axis
-        self.delta2 = s.delta ** 2
+        self.pair = _pair_rates(s)              # (N1, T1, T2) -> rates
         self.hbar_omega1 = HBAR * s.f1.omega_bar
         self.hbar_omega2 = HBAR * s.f2.omega_bar
         self.xi = transfer_efficiency(s.M1, s.M2)
@@ -186,76 +190,80 @@ class _Model:
         self.latch = cfg.bec_threshold * (1.0 - 1e-12)
         m = cfg.evaporation_model
         if isinstance(m, RampDriven):
-            self.ramp = m
-            self.ndot = self._ramp_ndot
+            slope = m.slope
+
+            def ndot(t, N1, T1):
+                return slope(t)
         else:
-            self.sigma1 = (m.sigma_self if m.sigma_self is not None
-                           else s.sigma12)
-            self.omega1_bar3 = s.f1.omega_bar ** 3
-            self.neg_prefactor = -m.prefactor
-            self.exp_eta = math.exp(-cfg.eta)
-            self.ndot = self._rate_ndot
+            sigma1 = m.sigma_self if m.sigma_self is not None else s.sigma12
+            M1, omega1_bar3 = s.M1, s.f1.omega_bar ** 3
+            neg_prefactor, exp_eta = -m.prefactor, math.exp(-cfg.eta)
 
-    def _ramp_ndot(self, t, N1, T1):
-        return self.ramp.slope(t)
-
-    def _rate_ndot(self, t, N1, T1):
-        """-prefactor * gamma1 * exp(-eta) * N1."""
-        if T1 <= 0:
-            raise DomainError("T must be positive")
-        gamma1 = _self_rate(max(N1, N1_FLOOR), T1, self.omega1_bar3,
-                            self.sigma1, self.M1)
-        return self.neg_prefactor * gamma1 * self.exp_eta * N1
+            def ndot(t, N1, T1):
+                """-prefactor * gamma1 * exp(-eta) * N1."""
+                if T1 <= 0:
+                    raise DomainError("T must be positive")
+                gamma1 = _self_rate(max(N1, N1_FLOOR), T1, omega1_bar3,
+                                    sigma1, M1)
+                return neg_prefactor * gamma1 * exp_eta * N1
+        self.ndot = ndot
 
     def rhs(self, t, y):
         """Finite-contact derivatives of (N1, T1, T2, E_removed)."""
-        n1, t1, t2, _ = y.tolist()
+        n1, t1, t2, _ = y
         n1 = max(n1, N1_FLOOR)
         nd = self.ndot(t, n1, t1)
         if t1 <= 0 or t2 <= 0:
             raise DomainError("temperatures must be positive")
-        gamma = _pair_rates(n1, self.N2, t1, t2, self.M1, self.M2,
-                            self.stiffness, self.sigma12, self.delta2)[2]
+        gamma = self.pair(n1, t1, t2)[2]
         # energy_exchange_rate: W = k_B (T2 - T1) Gamma
         w = self.xi * (K_B * (t2 - t1) * gamma)
         dT1 = self.eta_m2 * t1 * nd / (3.0 * n1) + w / (3.0 * n1 * K_B)
         dT2 = -w / self.three_n2_kb
         return (nd, dT1, dT2, nd * self.eta_p1 * K_B * t1)
 
-    def d1(self, N1, T1):
-        if T1 <= 0:
+    def d1_crossing(self, t, y):
+        """D1 - bec_threshold at state y: its upward zero is the buffer's
+        condensation."""
+        if y[1] <= 0:
             raise DomainError("T must be positive")
-        return self.psd_prefactor * _psd(N1, T1, self.hbar_omega1)
+        return (self.psd_prefactor * _psd(max(y[0], 0.0), y[1],
+                                          self.hbar_omega1)
+                - self.threshold)
 
-    def d2(self, T2):
-        if T2 <= 0:
+    def d2_crossing(self, t, y):
+        """D2 - bec_threshold at state y: its upward zero is the target's
+        condensation."""
+        if y[2] <= 0:
             raise DomainError("T must be positive")
-        return self.psd_prefactor * _psd(self.N2, T2, self.hbar_omega2)
+        return (self.psd_prefactor * _psd(self.N2, y[2], self.hbar_omega2)
+                - self.threshold)
 
     def points(self, ts, N1s, T1s, T2s, stop=False) -> list[TrajectoryPoint]:
         """Latched trajectory points from sampled arrays; with stop, the
         last point is the first whose D1 or D2 reaches the threshold."""
+        ndot, pair, N2 = self.ndot, self.pair, self.N2
+        pref, hw1, hw2 = self.psd_prefactor, self.hbar_omega1, self.hbar_omega2
+        latch, threshold = self.latch, self.threshold
         pts: list[TrajectoryPoint] = []
         stalled = bec1 = bec2 = False
         for t, n1, t1, t2 in zip(ts.tolist(), N1s.tolist(), T1s.tolist(),
                                  T2s.tolist()):
-            nd = self.ndot(t, n1, t1)
+            nd = ndot(t, n1, t1)
             if t1 <= 0 or t2 <= 0:
                 raise DomainError("temperatures must be positive")
-            _, ov, gamma = _pair_rates(max(n1, 1e-9), self.N2, t1, t2,
-                                       self.M1, self.M2, self.stiffness,
-                                       self.sigma12, self.delta2)
+            _, ov, gamma = pair(max(n1, 1e-9), t1, t2)
             gamma = gamma if n1 > 0 else 0.0
-            d1 = self.d1(max(n1, 0.0), t1)
-            d2 = self.d2(t2)
+            d1 = pref * _psd(max(n1, 0.0), t1, hw1)
+            d2 = pref * _psd(N2, t2, hw2)
             # the guard keeps the latch robust when a terminal stop event
             # lands a float ulp below the threshold it just located
-            bec1 = bec1 or d1 >= self.latch
-            bec2 = bec2 or d2 >= self.latch
+            bec1 = bec1 or d1 >= latch
+            bec2 = bec2 or d2 >= latch
             stalled = stalled or (ov < STALL_OVERLAP and nd < 0)
             pts.append(TrajectoryPoint(t, n1, t1, t2, d1, d2, gamma, ov,
                                        stalled, bec1, bec2))
-            if stop and (d1 >= self.threshold or d2 >= self.threshold):
+            if stop and (d1 >= threshold or d2 >= threshold):
                 break
         return pts
 
@@ -266,10 +274,11 @@ def _sample_grid(cfg: TrajectoryConfig, t_final: float) -> np.ndarray:
     return np.linspace(0.0, t_final, n)
 
 
-def _dense(steps, breaks, t: np.ndarray) -> np.ndarray:
-    """The state (n, t.size) at ascending times t from the steps (t_old, h,
-    y_old, Q) of one RK45 run, breaks[0] its start and breaks[i + 1] the
-    end of steps[i].
+def _dense(h, y_old, Q, breaks, t: np.ndarray) -> np.ndarray:
+    """The state (n, t.size) at ascending times t from the steps of one
+    RK45 run: step i runs from breaks[i] to breaks[i + 1] with length
+    h[i], start state y_old[n i:n (i + 1)] and interpolant coefficients
+    Q[i] (n, 4).
 
     RkDenseOutput's quartic is evaluated in its operations on the segment
     OdeSolution picks, so every value equals OdeSolution's bit for bit.
@@ -278,9 +287,12 @@ def _dense(steps, breaks, t: np.ndarray) -> np.ndarray:
     steps holding more keep one dot each, since a (4, k) product differs
     from k single-column ones in the last bits.
     """
-    t_old, h, y_old, Q = map(np.array, zip(*steps))
+    t_old = np.array(breaks[:-1])
+    h = np.array(h)
+    Q = np.array(Q)
+    y_old = np.array(y_old).reshape(len(Q), -1)
     seg = np.searchsorted(breaks, t, side="left") - 1
-    np.clip(seg, 0, len(steps) - 1, out=seg)
+    np.clip(seg, 0, len(Q) - 1, out=seg)
     x = (t - t_old[seg]) / h[seg]
     p = np.cumprod(np.tile(x, (Q.shape[2], 1)), axis=0)
     y = np.empty((y_old.shape[1], t.size))
@@ -327,21 +339,29 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
     zero of a crossing function.
 
     scipy's RK45 supplies the first step, f0 and its Dormand-Prince
-    tableau; the steps are taken here in the numpy operations and order
-    of its RungeKutta._step_impl and rk_step, and the events follow
-    solve_ivp's rules, so every float equals solve_ivp's with dense
-    output: an event fires when its function reaches zero within a step
-    in its direction, its root is brentq on that step's interpolant, and
-    a terminal root ends the run there.  A trial stage outside the
-    model's domain (T1 below zero as a ramp drives N1 to the floor) gives
-    a NaN derivative, so its step is rejected and retried shorter, and
-    the terminal floor event then stops the run.  A step that would fall
-    below ten float spacings of t raises StepFailure.
+    tableau; the steps are taken here in the operations and order of its
+    RungeKutta._step_impl and rk_step, and the events follow solve_ivp's
+    rules, so every float equals solve_ivp's with dense output.  The
+    state is a list of floats, and rhs and the crossings are called with
+    it; numpy keeps only the products with the stage matrix K (the five
+    stage arguments, the B and E rows and K^T P for the interpolant) and
+    the error norm's dot, whose summation order the bits depend on.  The
+    elementwise rest (y + dot * h, the error scale and quotient) rounds
+    on floats as on arrays.  An event fires when its function reaches
+    zero within a step in its direction, its root is brentq on that
+    step's interpolant, and a terminal root ends the run there.  A trial
+    stage outside the model's domain (T1 below zero as a ramp drives N1
+    to the floor) gives a NaN derivative, so its step is rejected and
+    retried shorter, and the terminal floor event then stops the run.  A
+    step that would fall below ten float spacings of t raises
+    StepFailure, and a start outside the domain the DomainError of rhs:
+    a NaN first derivative leaves no first step to shorten.
     """
     from scipy.integrate import RK45
     from scipy.optimize import brentq
 
-    nan_row = np.full(len(y0), np.nan)
+    rhs(0.0, y0)                # a start outside the domain raises here
+    nan_row = (math.nan,) * len(y0)
 
     def f(t, y):
         try:
@@ -357,13 +377,16 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
     A, B, C, E, P, K = (solver.A, solver.B, solver.C, solver.E, solver.P,
                         solver.K)
     stages = [(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, len(C))]
-    rtol, atol, max_step = solver.rtol, solver.atol, solver.max_step
+    KT, KT_b, n_stages = K.T, K[:-1].T, len(C)
+    rtol, atol, max_step = solver.rtol, float(solver.atol), solver.max_step
     exponent, root_n = solver.error_exponent, len(y0) ** 0.5
-    t, y, fy, h_abs, nfev = (0.0, solver.y, solver.f, float(solver.h_abs),
-                             solver.nfev)
-    steps, breaks = [], [0.0]
+    t, y, fy, h_abs, nfev = (0.0, solver.y.tolist(), solver.f,
+                             float(solver.h_abs), solver.nfev)
+    # the accepted steps as _dense takes them: lengths, start states in
+    # one flat array, interpolant coefficients and end points
+    hs, ys, Qs, breaks = array("d"), array("d"), [], [0.0]
     t_events: list[list[float]] = [[] for _ in events]
-    g = [ev(0.0, y0) for ev in events]
+    g = [ev(0.0, y) for ev in events]
     status = None
     while status is None:
         # RungeKutta._step_impl with SAFETY 0.9, MIN_FACTOR 0.2 and
@@ -378,13 +401,18 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
             h = t_new - t
             h_abs = abs(h)
             K[0] = fy
-            for s, KT, a, c in stages:
-                K[s] = f(t + c * h, y + np.dot(KT, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            K[-1] = f(t + h, y_new)
-            nfev += len(stages) + 1
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            x = np.dot(K.T, E) * h / scale
+            for s, K_s, a, c in stages:
+                K[s] = f(t + c * h, [yi + di * h for yi, di in
+                                     zip(y, K_s.dot(a).tolist())])
+            y_new = [yi + h * di for yi, di in zip(y, KT_b.dot(B).tolist())]
+            K[-1] = fy_new = f(t + h, y_new)
+            nfev += n_stages
+            # scale atol + np.maximum(|y|, |y_new|) * rtol: the conditional
+            # keeps a NaN of y_new, which is NaN wherever y is, so a NaN
+            # spreads as through np.maximum
+            x = np.array([e * h / (atol + (a if a >= b else b) * rtol)
+                          for e, a, b in zip(KT.dot(E).tolist(),
+                                             map(abs, y), map(abs, y_new))])
             error_norm = math.sqrt(x.dot(x)) / root_n
             if error_norm < 1:
                 factor = (10 if error_norm == 0
@@ -393,47 +421,46 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** exponent)
             rejected = True
-        t_old, y_old, t, y, fy = t, y, t_new, y_new, K[-1].copy()
+        t_old, y_old, t, y, fy = t, y, t_new, y_new, fy_new
         status = 0 if t >= t_end else None
-        step = (t_old, h, y_old, K.T.dot(P))
+        Q = KT.dot(P)
         g_new = [ev(t, y) for ev in events]
-        # the floor fires on the way down, the crossings on the way up
-        active = [i for i, (a, b) in enumerate(zip(g, g_new))
-                  if (a >= 0 >= b if i == 0 else a <= 0 <= b)]
-        hits = sorted((brentq(lambda s, ev=events[i]: ev(s, _dense(
-                                  [step], (t_old, t), np.array([s]))[:, 0]),
-                              t_old, t, xtol=4 * _EPS, rtol=4 * _EPS), i)
-                      for i in active)
-        stop = next((k for k, (_, i) in enumerate(hits) if terminal[i]),
-                    None)
         t_stop = t
-        if stop is not None:
-            hits = hits[:stop + 1]
-            status = 1
-            t_stop = hits[-1][0]
-        for root, i in hits:
-            t_events[i].append(root)
+        # the floor fires on the way down, the crossings on the way up
+        fired = [g[0] >= 0 >= g_new[0]] + [a <= 0 <= b for a, b in
+                                           zip(g[1:], g_new[1:])]
+        if True in fired:
+            active = [i for i, hit in enumerate(fired) if hit]
+            hits = sorted((brentq(lambda s, ev=events[i]: ev(s, _dense(
+                                      (h,), y_old, (Q,), (t_old, t),
+                                      np.array([s]))[:, 0]),
+                                  t_old, t, xtol=4 * _EPS, rtol=4 * _EPS), i)
+                          for i in active)
+            stop = next((k for k, (_, i) in enumerate(hits) if terminal[i]),
+                        None)
+            if stop is not None:
+                hits = hits[:stop + 1]
+                status = 1
+                t_stop = hits[-1][0]
+            for root, i in hits:
+                t_events[i].append(root)
         g = g_new
         if len(breaks) == 1 or breaks[-1] != t_stop:
             # else a stop at the previous step's end: this step is dropped
-            steps.append(step)
+            hs.append(h)
+            ys.extend(y_old)
+            Qs.append(Q)
             breaks.append(t_stop)
-    return _Run(np.array(breaks), t_events, partial(_dense, steps, breaks),
-                status, nfev)
+    return _Run(np.array(breaks), t_events,
+                partial(_dense, hs, ys, Qs, breaks), status, nfev)
 
 
 def _simulate_finite(cfg: TrajectoryConfig):
     s0 = cfg.initial
     model = _Model(cfg)
 
-    def cross1(t, y):
-        return model.d1(max(y[0], 0.0), y[1]) - cfg.bec_threshold
-
-    def cross2(t, y):
-        return model.d2(y[2]) - cfg.bec_threshold
-
     run = _integrate(model.rhs, (s0.N1, s0.T1, s0.T2, 0.0), cfg,
-                     (cross1, cross2))
+                     (model.d1_crossing, model.d2_crossing))
     t_final = float(run.t[-1])
     ts = _sample_grid(cfg, t_final)
     extra = [te[0] for te in run.t_events if te]

@@ -1180,6 +1180,31 @@ def test_tiny_trap_axes_are_config_error(tmp_path, capsys, cmd, trap):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["contact", "traj"])
+def test_cold_clouds_in_stiff_traps_are_runtime_error(tmp_path, capsys, cmd):
+    """omega_x 1e150 in both traps is accepted (M omega^2 is a normal
+    float), but at 1e-30 uK k_B T / (M omega_x^2) underflows, rho_x is 0
+    and the collision rate divided by zero: a ZeroDivisionError traceback.
+    Now exit 1 with one error line, for a finite trajectory too."""
+    trap = {"omega_x_rad_per_s": 1e150, "omega_y_rad_per_s": 628.3,
+            "omega_z_rad_per_s": 628.3, "gravity_m_per_s2": 0.0}
+    if cmd == "contact":
+        keys, obj = (), contact_state(tmp_path)[1]
+    else:
+        keys, obj = ("initial",), traj_config(tmp_path,
+                                              contact_mode="finite")[1]
+    for key, value in (("trap1", trap), ("trap2", trap), ("T1_uK", 1e-30),
+                       ("T2_uK", 1e-30)):
+        obj = _with(obj, (*keys, key), value)
+    cfg = write_config(tmp_path / "cold.json", obj)
+    out = tmp_path / "out"
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("sympcool: error: the pair widths underflow to 0: the "
+                   "clouds are too cold for their traps\n")
+    assert not out.exists()
+
+
 def test_traj_events_use_configured_threshold(tmp_path):
     """Instant mode with bec_threshold 1.5: each BEC time is the linear
     interpolation of D through 1.5 between the bracketing traj.csv rows."""

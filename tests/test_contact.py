@@ -262,11 +262,29 @@ def test_state_validation():
 @pytest.mark.parametrize("which", ["f1", "f2"])
 def test_state_rejects_trap_terms_out_of_range(which, axes):
     """M omega^2 of an axis that underflows to 0 divided by zero in the
-    pair widths; one that overflows stopped _stiffness.  Both are a
+    pair widths; one that overflows stopped _trap_terms.  Both are a
     DomainError naming the trap, whose sag and omega_bar are finite."""
     f = TrapFrequencies(*axes, gravity=0.0)
     with pytest.raises(DomainError, match=f"^{which}: .* positive normal"):
         _state(**{which: f})
+
+
+@pytest.mark.parametrize("axes, T", [
+    ((1e150, 2 * math.pi * 100, 2 * math.pi * 125), 1e-36),
+    ((1e100, 1e100, 1e100), 1e-22)],
+    ids=["width_underflows", "width_product_underflows"])
+def test_pair_widths_that_underflow_are_a_domain_error(axes, T):
+    """Each trap term is a normal float, so the state is accepted, but the
+    clouds are far colder than the stiff axes: k_B T / (M omega^2)
+    underflows to 0 and rho_x with it, or three widths of about 1e-110
+    multiply to 0.  The collision rate divided by zero there; now every
+    pair-rate function raises DomainError."""
+    f = TrapFrequencies(*axes, gravity=0.0)
+    s = _state(T1=T, T2=T, f1=f, f2=f)
+    for rate in (rms_sizes, overlap_factor, interspecies_collision_rate,
+                 energy_exchange_rate, interspecies_thermalization_rate):
+        with pytest.raises(DomainError, match="pair widths underflow"):
+            rate(s)
 
 
 def test_rate_function_validation():

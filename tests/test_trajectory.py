@@ -35,7 +35,7 @@ from sympcool import (
     trap_frequencies,
 )
 from sympcool import trajectory
-from sympcool.constants import G_STANDARD
+from sympcool.constants import AMU, G_STANDARD
 from sympcool.errors import DomainError, StepFailure
 from sympcool.trajectory import N1_FLOOR, _sample_grid, region_of_events
 
@@ -681,8 +681,10 @@ def _solve_ivp_reference(rhs, y0, cfg, crossings):
     (_ramp_to_zero_leg, 1, {0, 1, 2}),
     (_coarse_leg, 0, {1, 2}),
     (_unequal_mass_leg, 0, {1}),
+    (_ramp_leg, 0, {1, 2}),
 ], ids=["crossing_no_stop", "stop_at_threshold", "buffer_floor",
-        "instant_rate", "ramp_to_zero", "coarse_grid", "unequal_mass"])
+        "instant_rate", "ramp_to_zero", "coarse_grid", "unequal_mass",
+        "ramp_knots"])
 def test_rk45_loop_matches_solve_ivp(make, status, kinds, monkeypatch):
     """The module's RK45 loop gives bit for bit what solve_ivp gives with
     the same settings and events: step times, event roots, status, RHS
@@ -705,6 +707,86 @@ def test_rk45_loop_matches_solve_ivp(make, status, kinds, monkeypatch):
     ts = _sample_grid(cfg, float(ref.t[-1]))
     assert np.array_equal(run.sol(ts), ref.sol(ts))
     assert np.array_equal(run.sol(audit["t"]), ref.sol(audit["t"]))
+
+
+_AXIS = st.floats(2 * math.pi * 30, 2 * math.pi * 300)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(masses=st.tuples(st.floats(6.0, 140.0), st.floats(6.0, 140.0)),
+       axes=st.tuples(*(_AXIS,) * 6), delta=st.floats(0.0, 30e-6),
+       eta=st.floats(3.0, 10.0), prefactor=st.floats(0.5, 1000.0),
+       dt_max=st.floats(0.01, 0.5), stop=st.booleans())
+def test_rk45_loop_matches_solve_ivp_on_random_configs(masses, axes, delta,
+                                                       eta, prefactor,
+                                                       dt_max, stop):
+    """Finite-mode, rate-driven configs over masses, both traps' axes, the
+    offset, eta, the evaporation prefactor and dt_max, run for 2 s:
+    _integrate gives bit for bit what solve_ivp gives, in step times,
+    nfev, event roots, status and the dense solution on the sample
+    grid."""
+    f1 = TrapFrequencies(*axes[:3], gravity=0.0)
+    f2 = TrapFrequencies(*axes[3:], gravity=0.0)
+    s = TwoGasState(N1=1e6, N2=3e4, T1=10e-6, T2=12e-6, f1=f1, f2=f2,
+                    M1=masses[0] * AMU, M2=masses[1] * AMU, sigma12=SIG,
+                    delta=delta)
+    cfg = TrajectoryConfig(initial=s, eta=eta,
+                           evaporation_model=RateDriven(prefactor=prefactor),
+                           t_end=2.0, dt_max=dt_max, stop_at_threshold=stop)
+    model = trajectory._Model(cfg)
+    y0 = (s.N1, s.T1, s.T2, 0.0)
+    crossings = (model.d1_crossing, model.d2_crossing)
+    run = trajectory._integrate(model.rhs, y0, cfg, crossings)
+    ref = _solve_ivp_reference(model.rhs, y0, cfg, crossings)
+    assert run.status == ref.status
+    assert run.nfev == ref.nfev
+    assert np.array_equal(run.t, ref.t)
+    assert [list(te) for te in ref.t_events] == run.t_events
+    ts = _sample_grid(cfg, float(ref.t[-1]))
+    assert np.array_equal(run.sol(ts), ref.sol(ts))
+
+
+@pytest.mark.parametrize("model", [
+    RateDriven(prefactor=2.0),
+    RampDriven(times=(0.0, 1.0), numbers=(1e4, 0.0))])
+@pytest.mark.parametrize("state", [
+    (1e4, 1.2e-6, 0.8e-6, 0.0),
+    (0.25, 1.2e-6, 0.8e-6, 3e-20),
+    (math.nan, 1.2e-6, 0.8e-6, 0.0),
+    (1e4, math.nan, 0.8e-6, 0.0),
+    (1e4, 1.2e-6, math.nan, 0.0)],
+    ids=["normal", "below_floor", "nan_N1", "nan_T1", "nan_T2"])
+def test_model_functions_take_any_state_sequence(model, state):
+    """rhs and both crossing functions give the same bits for a list, a
+    tuple and an ndarray state: the integrator passes lists, solve_ivp
+    and brentq's interpolant arrays.  max(N1, floor) keeps a NaN N1 and
+    lifts 0.25 atoms to the one-atom floor."""
+    m = trajectory._Model(TrajectoryConfig(initial=_state(), eta=6.5,
+                                           evaporation_model=model))
+    for fn in (m.rhs, m.d1_crossing, m.d2_crossing):
+        ref = np.array(fn(0.5, list(state)), dtype=float)
+        for y in (tuple(state), np.array(state)):
+            assert np.array(fn(0.5, y), dtype=float).tobytes() \
+                == ref.tobytes()
+    got = m.rhs(0.5, list(state))
+    if state[0] == 0.25:
+        assert got == m.rhs(0.5, [N1_FLOOR, *state[1:]])
+    if math.isnan(state[0]):
+        assert math.isnan(got[1])
+
+
+def test_start_outside_the_domain_raises_domain_error():
+    """Clouds too cold for a 1e150 rad/s axis have pair widths of 0: the
+    first derivative is NaN and RK45 finds no first step, which left the
+    step loop running forever (a ZeroDivisionError before the pair rates
+    raised).  The start's DomainError now ends the run."""
+    f = TrapFrequencies(1e150, 2 * math.pi * 100, 2 * math.pi * 125,
+                        gravity=0.0)
+    cfg = TrajectoryConfig(initial=_state(T1=1e-36, T2=1e-36, f1=f, f2=f),
+                           eta=6.5, evaporation_model=RateDriven(),
+                           t_end=1.0)
+    with pytest.raises(DomainError, match="pair widths underflow"):
+        simulate_with_audit(cfg)
 
 
 def test_coarse_leg_runs_both_dense_branches(monkeypatch):
@@ -742,7 +824,7 @@ def test_dense_at_one_time_matches_scipy_scalar_call(n, t_old, h, frac, data):
     Q = data.draw(hnp.arrays(float, (n, 4), elements=_FINITE))
     t = t_old + h
     s = min(t_old + frac * (t - t_old), t)
-    ours = trajectory._dense([(t_old, t - t_old, y_old, Q)], (t_old, t),
+    ours = trajectory._dense([t - t_old], y_old, [Q], (t_old, t),
                              np.array([s]))[:, 0]
     assert np.array_equal(ours, RkDenseOutput(t_old, t, y_old, Q)(s))
 
