@@ -4,9 +4,9 @@ Every run writes its outputs plus a manifest JSON recording the command
 line, a sha256 digest of the canonicalized config, the tool version, the
 seed, the produced files and, for traj, budget, phase-diagram and dsmc,
 their diagnostics (solver statistics and located events; which path
-gave the regime; DSMC collision counters and energy drift).  For a
-fixed (config, seed, version) the data files are byte-identical; only the
-manifest's wall_time varies.
+gave the regime; DSMC collision counters, energy drift and seconds per
+step phase).  For a fixed (config, seed, version) the data files are
+byte-identical; only the manifest's wall_time and timings vary.
 
 Configs use unit-suffixed keys (B0_gauss, T_ini_uK, delta_um, dt_s, ...).
 A schema of `_Key` rows gives each section's keys, kinds, units and
@@ -532,7 +532,8 @@ def _cmd_dsmc(args, cfg: dict, raw: str) -> dict:
         "channels": {f"{a}-{b}": counts
                      for (a, b), counts in result.diagnostics.items()},
         "lone_particle_fraction": result.lone_particle_fraction,
-        "relative_energy_drift": (energy[1] - energy[0]) / energy[0]}
+        "relative_energy_drift": (energy[1] - energy[0]) / energy[0],
+        "timings_s": result.timings}
 
     single = len(ensembles) == 1
     n_phys = [e.n * e.weight for e in ensembles]

@@ -5,6 +5,7 @@ require_positive and require_nonnegative check finiteness before sign."""
 from __future__ import annotations
 
 import math
+import numbers
 
 
 class SympcoolError(Exception):
@@ -38,6 +39,19 @@ def require_nonnegative(**values) -> None:
     for name, value in values.items():
         if value < 0:
             raise DomainError(f"{name} must be >= 0")
+
+
+def require_integer(minimum: int, **values) -> None:
+    """DomainError "<name> must be an integer" for the first value that is
+    not an integer (a bool is not one), then "<name> must be >= minimum"
+    for the first value below minimum."""
+    for name, value in values.items():
+        if isinstance(value, bool) \
+                or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+    for name, value in values.items():
+        if value < minimum:
+            raise DomainError(f"{name} must be >= {minimum}")
 
 
 class AntiTrapped(DomainError):

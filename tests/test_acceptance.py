@@ -3,12 +3,17 @@
 Every test prints "CRITERION n PASS/FAIL: ..." before asserting, so a
 plain `pytest -v -s tests/test_acceptance.py` reads as a checklist.  The
 DSMC-backed criteria (4, 5, 6) run the kinetic Monte Carlo oracle at
-reduced desk scale and share their most expensive runs through a module
-cache; expect a few minutes of wall time for the full file.
+reduced desk scale: the legs the selected criteria read run once, on up
+to two processes, and the tests share them through a module-scope
+fixture; expect a few minutes of wall time for the full file.
 """
 
+import functools
 import math
+import multiprocessing
+import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from sympcool import (
     trap_frequencies,
 )
 from sympcool.constants import G_STANDARD, K_B
+from sympcool.errors import CellUnderflowWarning
 
 pytestmark = [
     pytest.mark.acceptance,
@@ -171,48 +177,129 @@ def test_criterion_3_overlap_and_rate_reduction():
                   f"rate reduction={red * 100:.1f}% (30 +- 3%)")
 
 
+# ------------------------------------ the DSMC legs of criteria 4, 5b, 6
+
+MASS_RATIO = 14.5
+# same magnetic trap: stiffness scales as 1/sqrt(mass)
+F_LI = TrapFrequencies.from_axes(*(w * math.sqrt(MASS_RATIO) for w in AXES),
+                                 gravity=0.0)
+# the clouds split vertically by 2.15 pair widths
+DELTA = 2.15 * (math.sqrt(K_B * (1.3e-6 + 0.7e-6) / MASS_RB87) / AXES[2])
+F_OFF = TrapFrequencies.from_axes(*AXES, gravity=DELTA * AXES[2] ** 2)
+
+
+def _tagged_config(seed):
+    """Two tagged halves at 1.0 +- 0.15 uK: 2e4 test particles per tag,
+    uniform cross sections, so the pair is a single species split into
+    hot and cold labels."""
+    rng = _rng(seed)
+    e1 = sample_equilibrium(_species("hot", SIG, SIG), 20000, 1.15e-6, F0,
+                            rng)
+    e2 = sample_equilibrium(_species("cold", SIG, SIG), 20000, 0.85e-6, F0,
+                            rng)
+    return DsmcConfig(ensembles=(e1, e2), traps=(F0, F0), dt=3.2e-4,
+                      t_end=2.2, cell_size=2.4e-6, rng_seed=seed,
+                      record_every=20)
+
+
+def _pair_config(seed, traps, t_end, dt, record_every, m2=MASS_RB87,
+                 labels=("a", "b")):
+    """Rb at 1.3 uK against a partner of mass m2 at 0.7 uK, 1e4 test
+    particles each, sigma12 = 8 sigma_self / 2."""
+    rng = _rng(seed)
+    e1 = sample_equilibrium(_species(labels[0], 4 * SIG, 8 * SIG), 10000,
+                            1.3e-6, traps[0], rng)
+    e2 = sample_equilibrium(_species(labels[1], 4 * SIG, 8 * SIG, mass=m2),
+                            10000, 0.7e-6, traps[1], rng)
+    return DsmcConfig(ensembles=(e1, e2), traps=traps, dt=dt, t_end=t_end,
+                      cell_size=2.4e-6, rng_seed=seed,
+                      record_every=record_every)
+
+
+TAGGED_SEEDS = range(11, 19)
+
+# every DSMC leg, longest first: criterion 4's eight tagged seeds; the
+# equal-mass "centred" pair, shared by 5b and 6; and the "offset" and
+# "mass_ratio" legs of 5b and 6
+_LEGS = {
+    **{("tagged", seed): functools.partial(_tagged_config, seed)
+       for seed in TAGGED_SEEDS},
+    "offset": lambda: _pair_config(32, (F_OFF, F0), 3.5, 3.2e-4, 20),
+    "mass_ratio": lambda: _pair_config(41, (F0, F_LI), 0.8, 1.0e-4, 16,
+                                       m2=MASS_RB87 / MASS_RATIO,
+                                       labels=("heavy", "light")),
+    "centred": lambda: _pair_config(31, (F0, F0), 0.5, 3.2e-4, 5),
+}
+
+# the legs each DSMC criterion reads
+_LEGS_OF = {
+    "test_criterion_4_single_species_thermalization_rate":
+        [("tagged", seed) for seed in TAGGED_SEEDS],
+    "test_criterion_5a_two_species_rate_matches_contact_model":
+        [("tagged", seed) for seed in TAGGED_SEEDS],
+    "test_criterion_5b_offset_suppression": ["centred", "offset"],
+    "test_criterion_6_equivalent_mass_suppression": ["centred", "mass_ratio"],
+}
+
+
+def _run_leg(cfg):
+    """One DSMC run in a pool worker, returned with the warnings it raised
+    other than CellUnderflowWarning, which this module ignores."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("ignore", CellUnderflowWarning)
+        res = run(cfg)
+    return res, [(str(w.message), w.category, w.filename, w.lineno)
+                 for w in caught]
+
+
+@pytest.fixture(scope="module")
+def dsmc_runs(request):
+    """The DSMC legs that the selected criteria read, by name, run once
+    through one pool of min(2, cpu count) processes.
+
+    Each run depends on its config alone, so the results equal those of
+    running the legs one by one.  Warnings the workers caught are raised
+    again here, where pytest reports them.
+    """
+    wanted = {leg for item in request.session.items
+              for leg in _LEGS_OF.get(item.name, ())}
+    legs = {name: build() for name, build in _LEGS.items()
+            if name in wanted}
+    workers = min(2, os.cpu_count() or 1, len(legs))
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        done = pool.map(_run_leg, legs.values(), chunksize=1)
+    for _, caught in done:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+    return {name: res for name, (res, _) in zip(legs, done)}
+
+
 # --------------------------------------------- 4 & 5a: shared tagged runs
 
-_C4_CACHE: dict = {}
+def _tagged_runs(runs):
+    """Criterion 4's eight seeded relaxation runs of two tagged halves.
 
-
-def _tagged_runs():
-    """Eight seeded relaxation runs of two tagged halves at 1.0 +- 0.15 uK.
-
-    2e4 test particles per tag, uniform cross sections, so the pair is a
-    single species split into hot and cold labels.  Returns the analytic
-    mean-rate bar and per-seed (fitted rate, realized full-series e-folds).
+    Returns the analytic mean-rate bar and per-seed (fitted rate, realized
+    full-series e-folds).
     """
-    if _C4_CACHE:
-        return _C4_CACHE["analytic"], _C4_CACHE["fits"]
-    n_half = 20000
     analytic = single_species_collision_rate(
-        2 * n_half, 1.0e-6, F0.omega_bar, SIG, MASS_RB87) / 3.0
+        2 * 20000, 1.0e-6, F0.omega_bar, SIG, MASS_RB87) / 3.0
     fits = []
-    for seed in range(11, 19):
-        rng = _rng(seed)
-        e1 = sample_equilibrium(_species("hot", SIG, SIG), n_half,
-                                1.15e-6, F0, rng)
-        e2 = sample_equilibrium(_species("cold", SIG, SIG), n_half,
-                                0.85e-6, F0, rng)
-        cfg = DsmcConfig(ensembles=(e1, e2), traps=(F0, F0), dt=3.2e-4,
-                         t_end=2.2, cell_size=2.4e-6, rng_seed=seed,
-                         record_every=20)
-        res = run(cfg)
+    for seed in TAGGED_SEEDS:
+        res = runs[("tagged", seed)]
         d = res.temps[:, 0] - res.temps[:, 1]
         efolds = math.log(abs(d[0]) / float(np.median(np.abs(d[-5:]))))
         window = res.times <= 3.0 / analytic
         rate, _ = fit_relaxation(res.times[window], d[window])
         fits.append((rate, efolds))
-    _C4_CACHE["analytic"] = analytic
-    _C4_CACHE["fits"] = fits
     return analytic, fits
 
 
-def test_criterion_4_single_species_thermalization_rate():
+def test_criterion_4_single_species_thermalization_rate(dsmc_runs):
     """Tagged-subsample relaxation rate within 15% of one third of the
     mean per-atom collision rate, 8 seeds, >= 3 e-folds of decay each."""
-    analytic, fits = _tagged_runs()
+    analytic, fits = _tagged_runs(dsmc_runs)
     rates = np.array([r for r, _ in fits])
     efolds = np.array([e for _, e in fits])
     mean_ratio = float(np.mean(rates)) / analytic
@@ -224,10 +311,10 @@ def test_criterion_4_single_species_thermalization_rate():
                   f" e-folds >= {efolds.min():.2f}")
 
 
-def test_criterion_5a_two_species_rate_matches_contact_model():
+def test_criterion_5a_two_species_rate_matches_contact_model(dsmc_runs):
     """The same runs read as a two-species pair: fitted rate within 20% of
     the interspecies thermal-contact prediction."""
-    analytic, fits = _tagged_runs()
+    analytic, fits = _tagged_runs(dsmc_runs)
     state = TwoGasState(N1=20000, N2=20000, T1=1.15e-6, T2=0.85e-6,
                         f1=F0, f2=F0, M1=MASS_RB87, M2=MASS_RB87,
                         sigma12=SIG, delta=0.0)
@@ -241,25 +328,6 @@ def test_criterion_5a_two_species_rate_matches_contact_model():
 
 # --------------------------------------------- 5b & 6: offset and masses
 
-_RUN_CACHE: dict = {}
-
-
-def _centered_run():
-    """Equal-mass pair, sigma12 = 8 sigma_self/2, no offset; reused as the
-    equal-mass normalization leg of criterion 6."""
-    if "cen" not in _RUN_CACHE:
-        rng = _rng(31)
-        e1 = sample_equilibrium(_species("a", 4 * SIG, 8 * SIG), 10000,
-                                1.3e-6, F0, rng)
-        e2 = sample_equilibrium(_species("b", 4 * SIG, 8 * SIG), 10000,
-                                0.7e-6, F0, rng)
-        cfg = DsmcConfig(ensembles=(e1, e2), traps=(F0, F0), dt=3.2e-4,
-                         t_end=0.5, cell_size=2.4e-6, rng_seed=31,
-                         record_every=5)
-        _RUN_CACHE["cen"] = run(cfg)
-    return _RUN_CACHE["cen"]
-
-
 def _fit_windowed(res, analytic):
     d = res.temps[:, 0] - res.temps[:, 1]
     window = res.times <= 3.0 / analytic
@@ -272,31 +340,18 @@ def _xi_measured(res, rate, n1, n2):
     return rate * 3.0 * n1 * n2 / ((n1 + n2) * pair_rate)
 
 
-def test_criterion_5b_offset_suppression():
+def test_criterion_5b_offset_suppression(dsmc_runs):
     """Separating the clouds by 2.15 pair widths must suppress the fitted
     rate by the Gaussian factor ~0.1 (50% band, statistics-limited)."""
     st = TwoGasState(N1=10000, N2=10000, T1=1.3e-6, T2=0.7e-6, f1=F0,
                      f2=F0, M1=MASS_RB87, M2=MASS_RB87, sigma12=8 * SIG,
                      delta=0.0)
     an_cen = interspecies_thermalization_rate(st)
-    rate_cen = _fit_windowed(_centered_run(), an_cen)
+    rate_cen = _fit_windowed(dsmc_runs["centred"], an_cen)
     ok_cen = abs(rate_cen / an_cen - 1.0) <= 0.20
 
-    rho_z = math.sqrt(K_B * (1.3e-6 + 0.7e-6) / MASS_RB87) / AXES[2]
-    delta = 2.15 * rho_z
-    f_off = TrapFrequencies.from_axes(*AXES, gravity=delta * AXES[2] ** 2)
-    rng = _rng(32)
-    e1 = sample_equilibrium(_species("a", 4 * SIG, 8 * SIG), 10000,
-                            1.3e-6, f_off, rng)
-    e2 = sample_equilibrium(_species("b", 4 * SIG, 8 * SIG), 10000,
-                            0.7e-6, F0, rng)
-    cfg = DsmcConfig(ensembles=(e1, e2), traps=(f_off, F0), dt=3.2e-4,
-                     t_end=3.5, cell_size=2.4e-6, rng_seed=32,
-                     record_every=20)
-    res = run(cfg)
-    _RUN_CACHE["off"] = res
     factor = math.exp(-2.15 ** 2 / 2)
-    rate_off = _fit_windowed(res, an_cen * factor)
+    rate_off = _fit_windowed(dsmc_runs["offset"], an_cen * factor)
     supp = rate_off / rate_cen
     ok = ok_cen and abs(supp / factor - 1.0) <= 0.50
     assert report("5b", ok,
@@ -306,34 +361,23 @@ def test_criterion_5b_offset_suppression():
                   f"{abs(supp / factor - 1) * 100:.0f}% (50% band)")
 
 
-def test_criterion_6_equivalent_mass_suppression():
+def test_criterion_6_equivalent_mass_suppression(dsmc_runs):
     """Mass ratio 14.5: the collision-normalized rate ratio between the
     unequal-mass and equal-mass pairs must match the equivalent-mass
     closed form 8 (M1 M2)^2 / (M1+M2)^3 / M1 within 25%."""
-    ratio = 14.5
+    ratio = MASS_RATIO
     m2 = MASS_RB87 / ratio
     st_a = TwoGasState(N1=10000, N2=10000, T1=1.3e-6, T2=0.7e-6, f1=F0,
                        f2=F0, M1=MASS_RB87, M2=MASS_RB87, sigma12=8 * SIG,
                        delta=0.0)
-    res_a = _centered_run()
+    res_a = dsmc_runs["centred"]
     rate_a = _fit_windowed(res_a, interspecies_thermalization_rate(st_a))
     xi_a = _xi_measured(res_a, rate_a, 10000, 10000)
 
-    # same magnetic trap: stiffness scales as 1/sqrt(mass)
-    f_li = TrapFrequencies.from_axes(*(w * math.sqrt(ratio) for w in AXES),
-                                     gravity=0.0)
     st_b = TwoGasState(N1=10000, N2=10000, T1=1.3e-6, T2=0.7e-6, f1=F0,
-                       f2=f_li, M1=MASS_RB87, M2=m2, sigma12=8 * SIG,
+                       f2=F_LI, M1=MASS_RB87, M2=m2, sigma12=8 * SIG,
                        delta=0.0)
-    rng = _rng(41)
-    e1 = sample_equilibrium(_species("heavy", 4 * SIG, 8 * SIG), 10000,
-                            1.3e-6, F0, rng)
-    e2 = sample_equilibrium(_species("light", 4 * SIG, 8 * SIG, mass=m2),
-                            10000, 0.7e-6, f_li, rng)
-    cfg = DsmcConfig(ensembles=(e1, e2), traps=(F0, f_li), dt=1.0e-4,
-                     t_end=0.8, cell_size=2.4e-6, rng_seed=41,
-                     record_every=16)
-    res_b = run(cfg)
+    res_b = dsmc_runs["mass_ratio"]
     rate_b = _fit_windowed(res_b, interspecies_thermalization_rate(st_b))
     xi_b = _xi_measured(res_b, rate_b, 10000, 10000)
 

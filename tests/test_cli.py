@@ -439,8 +439,9 @@ def test_dsmc_two_species_files(tmp_path):
 
 def test_dsmc_manifest_diagnostics_match_the_run(tmp_path, monkeypatch):
     """The dsmc manifest carries the run's per-channel counters, keyed
-    "a-b", its lone-particle fraction and the relative drift of the
-    weighted total energy, which no data file carries."""
+    "a-b", its lone-particle fraction, the relative drift of the weighted
+    total energy and the seconds spent per step phase, which no data file
+    carries."""
     import sympcool.cli as cli
     seen = []
 
@@ -466,6 +467,10 @@ def test_dsmc_manifest_diagnostics_match_the_run(tmp_path, monkeypatch):
                   for ens in (dsmc_cfg.ensembles, result.ensembles))
     assert diagnostics["relative_energy_drift"] == (end - start) / start
     assert abs(diagnostics["relative_energy_drift"]) < 1e-9
+    assert diagnostics["timings_s"] == result.timings
+    assert set(result.timings) == {"propagate", "cell_table", "select",
+                                   "collide", "record"}
+    assert all(t >= 0.0 for t in result.timings.values())
     for name in ("dsmc.csv", "dsmc_summary.json"):
         assert "relative_energy_drift" not in (tmp_path / name).read_text()
 
@@ -507,6 +512,9 @@ def test_dsmc_byte_identical_reruns(tmp_path):
     second_manifest = read_json(out / "dsmc_manifest.json")
     for m in (first_manifest, second_manifest):
         m.pop("wall_time")
+        # wall-clock seconds per step phase, like wall_time
+        assert set(m["diagnostics"].pop("timings_s")) == {
+            "propagate", "cell_table", "select", "collide", "record"}
     assert first_manifest == second_manifest
 
 

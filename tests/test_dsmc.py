@@ -9,8 +9,10 @@ import dataclasses
 import hashlib
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sympcool import (
     MASS_LI6,
@@ -503,6 +505,38 @@ def test_dedup_keeps_first_pair_per_particle(ia, ib, kept):
     assert keep.tolist() == kept
 
 
+def _greedy_dedup(ia, ib):
+    """Reference: one sequential first-come pass over every pair."""
+    seen, keep = set(), []
+    for k, (i, j) in enumerate(zip(ia, ib)):
+        if i not in seen and j not in seen:
+            seen.update((i, j))
+            keep.append(k)
+    return keep
+
+
+def _distinct_pairs(particles):
+    """Pairs of two distinct particles each, drawn from `particles`."""
+    return st.lists(st.tuples(particles, particles).filter(
+        lambda p: p[0] != p[1]), min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs=st.one_of(
+    # few particles: most lists repeat one
+    _distinct_pairs(st.integers(0, 12)),
+    # many particles: most lists repeat none
+    _distinct_pairs(st.integers(0, 10 ** 6)),
+    # no particle repeats at all
+    st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=120,
+             unique=True).map(lambda u: list(zip(u[::2], u[1::2])))))
+def test_dedup_matches_sequential_greedy(pairs):
+    ia, ib = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    keep = dsmc._dedup_pairs(ia, ib)
+    assert keep.dtype == np.int64
+    assert keep.tolist() == _greedy_dedup(ia.tolist(), ib.tolist())
+
+
 @ignore_underflow
 def test_distant_particles_never_share_a_cell():
     """1.3 m and 1.4 m lie beyond 2**19 cells of 2.4 um; a bounded cell
@@ -553,7 +587,34 @@ def test_config_validation():
         DsmcConfig(ensembles=(e1, heavy), traps=(F0, F0), **ok)
 
 
-@pytest.mark.parametrize("seed", [-3, 1 << 128, "seven", None, 1.5])
+@pytest.mark.parametrize("value", [math.nan, 2.5, 3.0, True, np.bool_(True),
+                                   "5", None])
+def test_config_requires_integer_record_every(value):
+    """A NaN or fractional record_every gave a history recorded at other
+    steps than asked (NaN: first and last only; 2.5: every 5 steps)."""
+    ens = sample_equilibrium(_species(), 100, 1e-6, F0, _rng(37))
+    with pytest.raises(DomainError, match="record_every must be an integer"):
+        DsmcConfig(ensembles=(ens,), traps=(F0,), dt=3.2e-4, t_end=0.01,
+                   cell_size=2.4e-6, rng_seed=1, record_every=value)
+
+
+def test_config_accepts_numpy_integer_record_every():
+    ens = sample_equilibrium(_species(), 100, 1e-6, F0, _rng(37))
+    cfg = DsmcConfig(ensembles=(ens,), traps=(F0,), dt=3.2e-4, t_end=0.0032,
+                     cell_size=2.4e-6, rng_seed=1,
+                     record_every=np.int64(4))
+    with pytest.warns(CellUnderflowWarning):
+        out = run(cfg)
+    assert np.allclose(out.times / 3.2e-4, [0, 4, 8, 10])
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, math.nan, True, "8"])
+def test_sample_equilibrium_requires_integer_n(n):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        sample_equilibrium(_species(), n, 1e-6, F0, _rng(38))
+
+
+@pytest.mark.parametrize("seed", [-3, 1 << 128, "seven", None, 1.5, True])
 def test_config_rejects_bad_seed(seed):
     ens = sample_equilibrium(_species(), 100, 1e-6, F0, _rng(34))
     with pytest.raises(DomainError, match="rng_seed"):

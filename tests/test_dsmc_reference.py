@@ -4,7 +4,8 @@ plainer versions.
 `_cell_table` and `_select_pairs` were rewritten to make fewer passes
 over the particle arrays: an occupancy table for the self channel's
 counts, pair expansion over the cells that drew a candidate only, one key
-buffer sorted in place and one boolean buffer for the run edges.  The
+buffer sorted in place, one boolean buffer for the run edges, and cell
+keys built in float64, which are exact below 2**53 cells.  The
 rewrite keeps every draw, every pair and every float operation, so on
 each case below both versions must give equal outputs and leave the
 generator in the same state.
@@ -205,3 +206,44 @@ def test_far_clouds_match_reference(sign, rms_cells):
     runs = _assert_same_table(xs)
     for a, b in _channels(2):
         _assert_same_selection(runs, a, b, 0.8)
+
+
+# 2**53 - 1 = 6361 * 69431 * 20394401: cells per axis whose product is the
+# largest exact float key count, and one more cell on the last axis
+_EXACT_SPAN = (6361, 69431, 20394401)
+_OVER_SPAN = (6361, 69431, 20394402)
+
+
+def _spanning_cloud(seed, n, span):
+    """n particles: two in the corner cells of a box of `span` cells per
+    axis, the others Gaussian about its centre, as a (3, n) array."""
+    g = _rng(seed)
+    cells = np.empty((3, n))
+    cells[:, 0] = 0.0
+    cells[:, 1] = np.asarray(span) - 1.0
+    centre = 0.5 * np.asarray(span, dtype=float)[:, None]
+    cells[:, 2:] = np.floor(centre + 3.0 * g.standard_normal((3, n - 2)))
+    return (cells + 0.5) * CELL
+
+
+@pytest.mark.parametrize("sizes", [(2,), (40, 7), (256, 256), (255, 2)])
+def test_few_particles_below_the_float_key_limit_match_reference(sizes):
+    """Fewer than 257 particles leave more key bits than a float keeps
+    exact; a cell count of 2**53 - 1 still gives the reference's table."""
+    xs = [_spanning_cloud(20 + e, n, _EXACT_SPAN)
+          for e, n in enumerate(sizes)]
+    assert math.prod(_EXACT_SPAN) == 2 ** 53 - 1
+    runs = _assert_same_table(xs)
+    for a, b in _channels(len(xs)):
+        _assert_same_selection(runs, a, b, 3.0)
+
+
+@pytest.mark.parametrize("sizes", [(2,), (40, 7), (256, 256)])
+def test_few_particles_beyond_the_float_key_limit_are_refused(sizes):
+    """2**53 cells and more are refused, though the reference's 64-bit
+    integer key would hold them with so few index bits."""
+    xs = [_spanning_cloud(30 + e, n, _OVER_SPAN)
+          for e, n in enumerate(sizes)]
+    _ref_cell_table(xs, [np.empty_like(x) for x in xs], CELL)
+    with pytest.raises(DomainError, match=r"cell_size .* 2\*\*53"):
+        dsmc._cell_table(xs, [np.empty_like(x) for x in xs], CELL)
