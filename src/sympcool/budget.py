@@ -22,11 +22,10 @@ crossing comes before the buffer peak, and comparing those three numbers
 with the condensation threshold 2.612 partitions the (eta, N2) plane into
 cooling regimes; the boundaries expressed as ratios N2_a/N2_c, N2_b/N2_c
 depend only on eta and omega2/omega1.  Outside that ordering (the
-extrapolation zone) a numeric scan of both curves over the ramp orders
-the first threshold crossings in time instead.
-
-Only that scan's root finding uses scipy, imported where it runs, so the
-closed-form path never loads scipy.
+extrapolation zone) the buffer peaks no later than the curves meet, so a
+buffer that condenses at all does so first, and the buffer's height at
+its peak, or at the ramp's start when the peak lies beyond it, decides
+whether it does (see classify).  No regime needs scipy.
 
 temperature_of and phase_space_density, and so psd_curves, take a
 plain-float path for float or int inputs (np.float64 included): Python
@@ -50,7 +49,6 @@ from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
 from .errors import (DomainError, NoInteriorPeak, require_finite,
                      require_positive)
 
-SCAN_POINTS = 4096  # default grid for the numeric regime scan
 _TINY = np.finfo(float).tiny    # smallest positive normal float
 _SCALAR = (float, int)          # the inputs that take the plain-float path
 
@@ -59,8 +57,8 @@ class Region(enum.Enum):
     """Cooling regimes over one full evaporation ramp.
 
     BUFFER_ONLY does not occur when 3*alpha - 1 > (omega1/omega2)^3 (the
-    ordering the closed forms assume); it is reachable only in the
-    scan-defined extrapolation zone where the buffer out-peaks the target.
+    ordering of the Fig. 3 closed forms); it is reachable only in the
+    extrapolation zone, where the buffer can out-peak the target.
     """
 
     DUAL_BUFFER_FIRST = "DualBufferFirst"
@@ -132,8 +130,10 @@ class CoolingOutcome:
     """Regime plus the three decision numbers for one (params, N2) cell.
 
     closed_form_ordering is False in the extrapolation zone
-    3*alpha - 1 <= (omega1/omega2)^3, where only the numeric scan defines
-    the fields.  D_equal is NaN when the curves never cross inside the ramp.
+    3*alpha - 1 <= (omega1/omega2)^3.  There D1_max and N1_at_buffer_peak
+    are the buffer curve's maximum over the ramp and where it sits, and
+    D_equal is NaN, only there, when the curves meet past the ramp's start
+    (N2 (omega2/omega1)^3 > N1_ini).  See classify for the regime rule.
     """
 
     region: Region
@@ -142,7 +142,6 @@ class CoolingOutcome:
     D_equal: float
     N1_at_buffer_peak: float
     closed_form_ordering: bool
-    regime_path: str           # "closed_form" or "scan": what gave region
 
 
 def temperature_of(N1, p: BudgetParams):
@@ -233,8 +232,8 @@ def buffer_psd_max(p: BudgetParams) -> tuple[float, float]:
         D1_max = D2_max (omega1/omega2)^3
                  (3 alpha - 1)^(3 alpha - 1) / (3 alpha)^(3 alpha).
 
-    Raises NoInteriorPeak when 3 alpha <= 1 (D1 is then monotone in N1 and
-    only the numeric scan is meaningful).
+    Raises NoInteriorPeak when 3 alpha <= 1 (D1 then rises with N1 over
+    the whole ramp).
     """
     a3 = 3.0 * p.alpha
     if a3 <= 1.0:
@@ -291,157 +290,76 @@ def critical_numbers(p: BudgetParams) -> tuple[float, float, float]:
     return n2_a, n2_b, n2_c
 
 
-def _scan_grid(p: BudgetParams, n: int) -> np.ndarray:
-    """Buffer numbers from N1_ini down to 0, geometric in N1 + N2 so the
-    small-N1 end (where both curves move fastest) is well resolved."""
-    y = np.geomspace(p.N1_ini + p.N2, p.N2, n)
-    n1 = y - p.N2
-    n1[0] = p.N1_ini
-    n1[-1] = 0.0
-    return n1
-
-
-def _upcross(n1: np.ndarray, d: np.ndarray, p: BudgetParams, which: int):
-    """First chronological upward threshold crossing of one model curve.
-
-    n1 is in decreasing (time) order.  Returns the crossing N1, or None.
-    """
-    if d[0] >= BEC_THRESHOLD:
-        return n1[0]
-    above = d >= BEC_THRESHOLD
-    idx = np.flatnonzero(~above[:-1] & above[1:])
-    if idx.size == 0:
-        return None
-    i = idx[0]
-
-    def f(x):
-        return psd_curves(x, p)[which] - BEC_THRESHOLD
-
-    from scipy.optimize import brentq
-    return brentq(f, n1[i + 1], n1[i], xtol=1e-30, rtol=1e-15)
-
-
-def _scan_region(p: BudgetParams, scan_points: int):
-    """Regime from a numeric scan of both model curves over the full ramp
-    N1: N1_ini -> 0, threshold crossings refined by Brent root finding and
-    ordered chronologically; valid in and outside the closed-form ordering.
-
-    Returns (region, n1, d1, d2), the last three the scan grid and the two
-    curves on it.
-    """
-    n1 = _scan_grid(p, scan_points)
-    d1, d2 = psd_curves(n1, p)
-    # the ramp runs N1 downwards, so -N1 orders the crossings in time
-    up1 = _upcross(n1, d1, p, which=0)
-    up2 = _upcross(n1, d2, p, which=1)
-    region = _region(None if up1 is None else -up1,
-                     None if up2 is None else -up2)
-    return region, n1, d1, d2
-
-
-def classify(N2: float, p: BudgetParams,
-             scan_points: int = SCAN_POINTS) -> CoolingOutcome:
+def classify(N2: float, p: BudgetParams) -> CoolingOutcome:
     """Cooling regime for N2 target atoms, everything else taken from p.
 
-    Where 3 alpha - 1 > (omega1/omega2)^3 the curves meet before the
-    buffer peaks, and the regime follows from the closed forms: the buffer
-    condenses first when D_equal exceeds the threshold, second when only
-    D1_max reaches it, and the target condenses when D2_max does.  That
-    holds whenever the target starts below the threshold, also when the
-    curves meet or the buffer peaks before the ramp starts.  The model
-    curves at the ramp's two ends tell; a target condensed from the start,
-    curves that overflow, and the extrapolation zone take the regime from
-    the numeric scan of both curves (_scan_region) instead.  The reported
-    decision numbers use the closed forms under the ordering and the scan
-    values otherwise; regime_path says which of the two gave the regime.
+    The closed forms decide every cell.  Let D1_top be the buffer curve's
+    maximum over the ramp: D1_max if its peak N2/(3 alpha - 1) lies below
+    N1_ini, else D1(N1_ini) (eta <= 3 included).  A target condensed from
+    the start gives DualTargetFirst if D1_top reaches the threshold, else
+    TargetOnly.  Otherwise, under the ordering 3 alpha - 1 >
+    (omega1/omega2)^3 the curves meet before the buffer peaks: the buffer
+    condenses first if D_equal exceeds the threshold, second if only
+    D1_max reaches it.  In the extrapolation zone the buffer peaks no later
+    than the curves meet, while D1 > D2, so it condenses, first, if D1_top
+    reaches the threshold.  The target condenses if D2_max does.
+
+    Under the ordering the outcome's fields are the closed forms, also past
+    the ramp's start; in the extrapolation zone see CoolingOutcome.
     """
     p = replace(p, N2=float(N2))
-    if not _closed_form_ordering(p):
-        region, n1, d1, d2 = _scan_region(p, scan_points)
-        d2_max = target_psd_max(p)
-        n1_peak, d1_max = _refine_peak(n1, int(np.argmax(d1)), p)
-        return CoolingOutcome(region=region, D1_max=d1_max, D2_max=d2_max,
-                              D_equal=_scan_crossing(n1, d1, d2, p),
-                              N1_at_buffer_peak=n1_peak,
-                              closed_form_ordering=False, regime_path="scan")
-
-    # both curves at the scan's first and last grid points: they raise, or
-    # turn non-finite, wherever the whole scan would
-    ends = psd_curves(np.array([p.N1_ini, 0.0]), p)
+    ordered = _closed_form_ordering(p)
+    # both curves at the ramp's two ends, on numpy: under
+    # np.errstate(over="raise") they raise where N1_ini / N2 or a density
+    # overflows there, which phase_diagram refuses
+    d2_start = psd_curves(np.array([p.N1_ini, 0.0]), p)[1][0]
     d2_max = target_psd_max(p)
-    n1_peak, d1_max = buffer_psd_max(p)
-    d_eq = equal_psd(p)
-    d2_start = ends[1][0]
-    if np.isfinite(ends).all() and d2_start < BEC_THRESHOLD:
+    if 3.0 * p.alpha > 1.0:
+        n1_peak, d1_max = buffer_psd_max(p)
+    else:                   # no interior peak: D1 rises with N1 throughout
+        n1_peak = d1_max = math.inf
+    n1_top, d1_top = ((n1_peak, d1_max) if n1_peak < p.N1_ini
+                      else (p.N1_ini, psd_curves(p.N1_ini, p)[0]))
+    if ordered:
+        d_eq = equal_psd(p)
+    else:
+        n1_peak, d1_max = n1_top, d1_top
+        r = p.omega2_bar / p.omega1_bar
+        # r * r * r runs to inf where r ** 3 would raise OverflowError
+        d_eq = equal_psd(p) if p.N2 * r * r * r <= p.N1_ini else math.nan
+
+    if d2_start >= BEC_THRESHOLD:     # the buffer can only come second
+        region = _region(1 if d1_top >= BEC_THRESHOLD else None, 0)
+    elif ordered:
         # chronological ranks: the buffer reaches the threshold before the
         # curves meet (0) or after they meet (2), the target after (1)
         first1 = (0 if d_eq > BEC_THRESHOLD
                   else 2 if d1_max >= BEC_THRESHOLD else None)
         region = _region(first1, 1 if d2_max >= BEC_THRESHOLD else None)
-        path = "closed_form"
     else:
-        region = _scan_region(p, scan_points)[0]
-        path = "scan"
+        region = _region(0 if d1_top >= BEC_THRESHOLD else None,
+                         1 if d2_max >= BEC_THRESHOLD else None)
     return CoolingOutcome(region=region, D1_max=d1_max, D2_max=d2_max,
                           D_equal=d_eq, N1_at_buffer_peak=n1_peak,
-                          closed_form_ordering=True, regime_path=path)
-
-
-def _refine_peak(n1: np.ndarray, i: int, p: BudgetParams) -> tuple[float, float]:
-    """Parabolic refinement of a grid argmax of the buffer curve; falls
-    back to the grid point when the maximum sits on the ramp boundary."""
-    if i == 0 or i == len(n1) - 1 or n1[i + 1] <= 0:
-        x = n1[i]
-        return x, psd_curves(x, p)[0]
-    xs = np.log(n1[i - 1:i + 2])
-    ys = np.array([math.log(psd_curves(x, p)[0]) for x in n1[i - 1:i + 2]])
-    denom = (ys[0] - 2 * ys[1] + ys[2])
-    if denom >= 0:
-        return n1[i], psd_curves(n1[i], p)[0]
-    shift = 0.5 * (ys[0] - ys[2]) / denom
-    x = math.exp(xs[1] - shift * (xs[2] - xs[0]) / 2.0)
-    return x, psd_curves(x, p)[0]
-
-
-def _scan_crossing(n1, d1, d2, p: BudgetParams) -> float:
-    """Value at the first chronological crossing of the two curves, NaN if
-    they never meet inside the ramp."""
-    diff = d1 - d2
-    sign_change = np.flatnonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)
-    if diff[0] == 0.0:
-        return float(d1[0])
-    if sign_change.size == 0:
-        return math.nan
-    i = sign_change[0]
-
-    def f(x):
-        a, b = psd_curves(x, p)
-        return a - b
-
-    from scipy.optimize import brentq
-    x = brentq(f, n1[i + 1], n1[i], xtol=1e-30, rtol=1e-15)
-    return psd_curves(x, p)[1]
+                          closed_form_ordering=ordered)
 
 
 def phase_diagram(eta_grid, n2_grid, trap_ratio: float) -> dict:
     """Regime table over an (eta, N2/N2_c) grid at fixed omega2/omega1.
 
-    Returns {"rows": [...], "boundaries": [...], "diagnostics": {...}}.
-    Each row is one grid cell with keys eta, n2_over_n2c, region, d1max,
-    d2max, dequal; each boundary entry carries the ratios n2a_over_n2c /
-    n2b_over_n2c (NaN for eta <= 3, where the closed forms have no interior
-    peak and the cells are omitted as well) and closed_form_ordering.  The
-    diagnostics count the cells whose regime came from the closed forms
-    (cells_closed_form) and from the numeric scan (cells_scanned), see
-    classify.  The ratios are independent of the reference N1_ini and T_ini
-    used internally; at those numbers N2_c under- or overflows for eta just
-    above 3, and so may the model curves of a cell, which raises
-    DomainError naming eta.
+    Returns {"rows": [...], "boundaries": [...]}.  Each row is one grid
+    cell with keys eta, n2_over_n2c, region, d1max, d2max, dequal, as
+    classify gives them; each boundary entry carries the ratios
+    n2a_over_n2c / n2b_over_n2c (NaN for eta <= 3, where the closed forms
+    have no interior peak and the cells are omitted as well) and
+    closed_form_ordering.  The ratios are independent of the reference
+    N1_ini and T_ini used internally; at those numbers N2_c under- or
+    overflows for eta just above 3, and so may the model curves of a cell,
+    which raises DomainError naming eta.
     """
     require_positive(trap_ratio=trap_ratio)
     omega1 = 2.0 * math.pi * 100.0
     rows, boundaries = [], []
-    paths = {"closed_form": 0, "scan": 0}
     for eta in np.asarray(eta_grid, dtype=float):
         p = BudgetParams(eta=float(eta), N1_ini=1e8, N2=1e4, T_ini=300e-6,
                          omega1_bar=omega1, omega2_bar=trap_ratio * omega1)
@@ -456,17 +374,18 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float) -> dict:
                            "n2b_over_n2c": n2b / n2c,
                            "closed_form_ordering": _closed_form_ordering(p)})
         for ratio in cells:
-            try:    # a tiny N2_c can overflow N1 / N2 in temperature_of
+            # a tiny N2_c can overflow N1 / N2 in temperature_of, or
+            # underflow K_B T_min to 0 and a density to inf
+            try:
                 with np.errstate(over="raise"):
                     out = classify(ratio * n2c, p)
             except (FloatingPointError, OverflowError):
+                out = None
+            if out is None or math.inf in (out.D1_max, out.D2_max):
                 raise DomainError(f"eta = {eta:.6g} is too close to 3: the "
                                   f"model overflows at N2 = {ratio:.6g} N2_c "
                                   "and the reference numbers") from None
-            paths[out.regime_path] += 1
             rows.append({"eta": float(eta), "n2_over_n2c": float(ratio),
                          "region": out.region.value, "d1max": out.D1_max,
                          "d2max": out.D2_max, "dequal": out.D_equal})
-    return {"rows": rows, "boundaries": boundaries,
-            "diagnostics": {"cells_closed_form": paths["closed_form"],
-                            "cells_scanned": paths["scan"]}}
+    return {"rows": rows, "boundaries": boundaries}

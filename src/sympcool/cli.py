@@ -2,11 +2,11 @@
 
 Every run writes its outputs plus a manifest JSON recording the command
 line, a sha256 digest of the canonicalized config, the tool version, the
-seed, the produced files and, for traj, budget, phase-diagram and dsmc,
-their diagnostics (solver statistics and located events; which path
-gave the regime; DSMC collision counters, energy drift and seconds per
-step phase).  For a fixed (config, seed, version) the data files are
-byte-identical; only the manifest's wall_time and timings vary.
+seed, the produced files and, for traj and dsmc, their diagnostics
+(solver statistics and located events; DSMC collision counters, energy
+drift and seconds per step phase).  For a fixed (config, seed, version)
+the data files are byte-identical; only the manifest's wall_time and
+timings vary.
 
 Configs use unit-suffixed keys (B0_gauss, T_ini_uK, delta_um, dt_s, ...).
 A schema of `_Key` rows gives each section's keys, kinds, units and
@@ -354,7 +354,6 @@ def _cmd_budget(args, cfg: dict, raw: str) -> dict:
     kw = _read(cfg, _BUDGET, raw, "config")
     params = _build(BudgetParams, kw, raw, "config", _BUDGET, cfg)
     outcome = classify(params.N2, params)
-    args.diagnostics = {"regime_path": outcome.regime_path}
     try:
         n2a, n2b, n2c = critical_numbers(params)
     except NoInteriorPeak:
@@ -397,7 +396,6 @@ def _cmd_phase_diagram(args, cfg: dict, raw: str) -> dict:
         raise ConfigError(f"--n2-max {args.n2_max!r} is too large: a cell's "
                           "target number N2 = n2 * N2_c reaches the "
                           "diagram's reference buffer number")
-    args.diagnostics = table["diagnostics"]
     header = ["eta", "n2_over_n2c", "region", "d1max", "d2max", "dequal"]
     rows = [[r[k] for k in header] for r in table["rows"]]
     boundaries = [{k: _jsonable(v) for k, v in b.items()}

@@ -27,7 +27,9 @@ from sympcool import (
     target_psd_max,
     temperature_of,
 )
-from sympcool.budget import SCAN_POINTS, _closed_form_ordering, _scan_region
+from scipy.optimize import brentq
+
+from sympcool.budget import _closed_form_ordering, _region
 from sympcool.constants import BEC_THRESHOLD, H_PLANCK, K_B, MASS_RB87
 from sympcool.errors import DomainError, NoInteriorPeak
 
@@ -36,6 +38,38 @@ OMEGA2 = OMEGA1 * math.sqrt(2.0)      # stiff sublevel
 
 CANON = BudgetParams(eta=6.5, N1_ini=1e8, N2=1e4, T_ini=300e-6,
                      omega1_bar=OMEGA1, omega2_bar=OMEGA2)
+
+
+def _scan_region(p: BudgetParams, points: int = 4096) -> Region:
+    """Regime from a numeric scan of both model curves over the ramp
+    N1: N1_ini -> 0, the oracle of classify's closed forms.
+
+    The grid is geometric in N1 + N2, so the small-N1 end, where both
+    curves move fastest, is well resolved.  Each curve's first upward
+    threshold crossing is refined by Brent root finding and the two are
+    ordered in time.  The curves are evaluated on numpy arrays, so under
+    np.errstate(over="raise") the scan raises wherever the model
+    overflows on its grid.
+    """
+    n1 = np.geomspace(p.N1_ini + p.N2, p.N2, points) - p.N2
+    n1[0], n1[-1] = p.N1_ini, 0.0
+    curves = psd_curves(n1, p)
+
+    def first_crossing(which):
+        above = curves[which] >= BEC_THRESHOLD
+        if above[0]:
+            return n1[0]
+        idx = np.flatnonzero(~above[:-1] & above[1:])
+        if idx.size == 0:
+            return None
+        i = idx[0]
+        return brentq(lambda x: psd_curves(x, p)[which] - BEC_THRESHOLD,
+                      n1[i + 1], n1[i], xtol=1e-30, rtol=1e-15)
+
+    # the ramp runs N1 downwards, so -N1 orders the crossings in time
+    up1, up2 = first_crossing(0), first_crossing(1)
+    return _region(None if up1 is None else -up1,
+                   None if up2 is None else -up2)
 
 
 # ---------------------------------------------------------------- validation
@@ -339,31 +373,34 @@ def test_classify_returns_closed_form_numbers_when_ordered():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(ratio=st.floats(0.6, 16.0), margin=st.floats(0.05, 8.0),
-       log_n1=st.floats(5.0, 10.0), log_t=st.floats(-6.0, -3.5),
-       f1=st.floats(30.0, 500.0), log_n2=st.floats(-3.0, 1.0))
-def test_closed_form_regime_matches_scan(ratio, margin, log_n1, log_t, f1,
-                                         log_n2):
-    """Over the ordering zone the region classify takes from the closed
-    forms is the scan's.  The scan resolves the buffer peak only to its
-    grid (a relative N2 of about 3 alpha h^2 / 8 for a step h in
-    log(N1 + N2)), so both use 65536 points, which keeps that below the
-    1e-6 kept from each critical number."""
+@given(eta=st.floats(2.001, 12.0), ratio=st.floats(0.03, 16.0),
+       log_n1=st.floats(2.0, 11.0), log_f=st.floats(-7.0, math.log10(0.98)),
+       f1=st.floats(30.0, 500.0), log_d=st.floats(-3.0, 3.0),
+       at_start=st.booleans())
+def test_closed_form_regime_matches_scan(eta, ratio, log_n1, log_f, f1,
+                                         log_d, at_start):
+    """In both zones, and for a target condensed from the start, the region
+    classify takes from the closed forms is the scan's.  T_ini puts D2_max,
+    or with at_start D2(N1_ini), at 10^log_d times the threshold, which
+    spreads the cells over every region.  The scan resolves the buffer peak
+    only to its grid (a relative N2 of about 3 alpha h^2 / 8 for a step h
+    in log(N1 + N2)), so it uses 65536 points, which keeps that below the
+    1e-6 kept from the threshold by each decision number: D1_top (the
+    buffer curve's maximum over the ramp), D2_max, D_equal and D2(N1_ini)."""
     w1 = 2 * math.pi * f1
-    p = BudgetParams(eta=3.0 + ratio ** -3 + margin, N1_ini=10 ** log_n1,
-                     N2=1.0, T_ini=10 ** log_t, omega1_bar=w1,
-                     omega2_bar=ratio * w1)
-    assert _closed_form_ordering(p)
-    try:
-        critical = critical_numbers(p)
-    except DomainError:         # eta so close to 3 that N2_c runs off
-        assume(False)
-    n2 = critical[2] * 10 ** log_n2
-    assume(n2 < p.N1_ini)
-    assume(all(abs(n2 / n - 1.0) >= 1e-6 for n in critical))
-    out = classify(n2, p, scan_points=65536)
-    region = _scan_region(replace(p, N2=n2), 65536)[0]
-    assert out.region is region
+    n1_ini = 10 ** log_n1
+    p = BudgetParams(eta=eta, N1_ini=n1_ini, N2=n1_ini * 10 ** log_f,
+                     T_ini=1.0, omega1_bar=w1, omega2_bar=ratio * w1)
+    d2 = psd_curves(p.N1_ini if at_start else 0.0, p)[1]
+    # D2 scales as T_ini^-3 at every N1
+    p = replace(p, T_ini=(d2 / (BEC_THRESHOLD * 10 ** log_d)) ** (1 / 3))
+    d1_start, d2_start = psd_curves(p.N1_ini, p)
+    d1_top = d1_start
+    if 3 * p.alpha > 1 and buffer_psd_max(p)[0] < p.N1_ini:
+        d1_top = buffer_psd_max(p)[1]
+    numbers = (d1_top, target_psd_max(p), equal_psd(p), d2_start)
+    assume(all(abs(d / BEC_THRESHOLD - 1.0) >= 1e-6 for d in numbers))
+    assert classify(p.N2, p).region is _scan_region(p, 65536)
 
 
 def test_phase_diagram_refuses_the_cells_the_scan_refuses():
@@ -382,7 +419,7 @@ def test_phase_diagram_refuses_the_cells_the_scan_refuses():
     for r in cells:
         try:
             with np.errstate(over="raise"):
-                region = _scan_region(replace(p, N2=r * n2c), SCAN_POINTS)[0]
+                region = _scan_region(replace(p, N2=r * n2c))
         except FloatingPointError:
             refused += 1
             with pytest.raises(DomainError,
@@ -392,7 +429,7 @@ def test_phase_diagram_refuses_the_cells_the_scan_refuses():
             # region (overflowed grid points read 0, below the threshold)
             with np.errstate(over="ignore", invalid="ignore"):
                 assert classify(r * n2c, p).region is _scan_region(
-                    replace(p, N2=r * n2c), SCAN_POINTS)[0]
+                    replace(p, N2=r * n2c))
         else:
             (row,) = phase_diagram([eta], [r], trap_ratio=ratio)["rows"]
             assert row["region"] == region.value
@@ -400,16 +437,17 @@ def test_phase_diagram_refuses_the_cells_the_scan_refuses():
 
 
 def test_scan_path_agrees_with_closed_forms():
-    """With a soft target trap the boundary-ordering assumption fails and
-    classify switches to the numeric scan; the scanned peak and crossing
-    still have valid closed forms to compare against."""
+    """With a soft target trap the boundary ordering fails; the buffer
+    still peaks inside the ramp and the curves meet inside it, so classify
+    reports the exact closed forms for the peak and the crossing."""
     p = replace(CANON, omega2_bar=0.5 * OMEGA1)
-    out = classify(p.N2, p, scan_points=65536)
+    out = classify(p.N2, p)
     assert not out.closed_form_ordering
     n1_peak, d1_max = buffer_psd_max(p)
-    assert out.D1_max == pytest.approx(d1_max, rel=1e-7)
-    assert out.N1_at_buffer_peak == pytest.approx(n1_peak, rel=1e-3)
-    assert out.D_equal == pytest.approx(equal_psd(p), rel=1e-9)
+    assert n1_peak < p.N1_ini
+    assert out.D1_max == d1_max
+    assert out.N1_at_buffer_peak == n1_peak
+    assert out.D_equal == equal_psd(p)
 
 
 def test_buffer_only_region_in_extrapolation_zone():
@@ -424,16 +462,21 @@ def test_buffer_only_region_in_extrapolation_zone():
 
 
 def test_crossing_nan_when_curves_never_meet():
-    """Far in the extrapolation zone with a huge buffer load the curves can
-    stay ordered over the whole ramp; D_equal is then NaN."""
-    p = replace(CANON, omega2_bar=0.4 * OMEGA1)
-    out = classify(p.N2, p)
-    if math.isnan(out.D_equal):
-        assert not out.closed_form_ordering
-    else:
-        # the crossing exists here; force separation with a tiny target
-        out = classify(p.N2, replace(p, omega2_bar=0.05 * OMEGA1))
-        assert math.isnan(out.D_equal) or out.D_equal > 0
+    """In the extrapolation zone the curves meet at N1_eq = N2
+    (omega2/omega1)^3.  Past the ramp's start (N1_eq > N1_ini) they never
+    meet on it and D_equal is NaN; inside it D_equal is equal_psd."""
+    past = BudgetParams(eta=3.5, N1_ini=1e8, N2=7e7, T_ini=300e-6,
+                        omega1_bar=OMEGA1, omega2_bar=1.2 * OMEGA1)
+    assert past.N2 * 1.2 ** 3 > past.N1_ini
+    out = classify(past.N2, past)
+    assert not out.closed_form_ordering
+    assert math.isnan(out.D_equal)
+
+    inside = replace(CANON, omega2_bar=0.4 * OMEGA1)
+    assert inside.N2 * 0.4 ** 3 <= inside.N1_ini
+    out = classify(inside.N2, inside)
+    assert not out.closed_form_ordering
+    assert out.D_equal == equal_psd(inside)
 
 
 # --------------------------------------------------------------- phase diagram
@@ -491,6 +534,22 @@ def test_critical_numbers_normal_at_eta_3_05():
                      omega1_bar=628.3, omega2_bar=1.41 * 628.3)
     n2a, n2b, n2c = critical_numbers(p)
     assert np.finfo(float).tiny < n2a < n2b < n2c < 1e-100
+
+
+def test_phase_diagram_refuses_cells_whose_densities_overflow():
+    """At eta 8 and ratio 2 the cell N2 = 1e-152 N2_c underflows K_B T_min
+    to 0, so its densities turn infinite with no numpy overflow at the
+    ramp's ends.  The scan of its curves overflows, and phase_diagram
+    refuses the cell instead of writing rows of infinities."""
+    w1 = 2 * math.pi * 100.0
+    p = BudgetParams(eta=8.0, N1_ini=1e8, N2=1e4, T_ini=300e-6,
+                     omega1_bar=w1, omega2_bar=2.0 * w1)
+    cell = replace(p, N2=1e-152 * critical_numbers(p)[2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+            _scan_region(cell)
+        with pytest.raises(DomainError, match=r"^eta = 8 is too close to 3"):
+            phase_diagram([8.0], [1e-152], trap_ratio=2.0)
 
 
 def test_phase_diagram_refuses_cells_that_overflow():

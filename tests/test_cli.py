@@ -104,33 +104,6 @@ def test_budget_no_interior_peak_emits_null(tmp_path):
     assert out["n2_a"] is None and out["n2_b"] is None
 
 
-def test_regime_path_diagnostics(tmp_path):
-    """The budget manifest names the path that gave the regime and the
-    phase-diagram manifest counts the cells of each; no data file carries
-    them.  A soft target trap (ratio 0.5, or 0.9 at eta 3.5) leaves the
-    closed-form ordering, where only the scan decides."""
-    w1 = 289.49564890835956
-    for path, w2 in (("closed_form", w1 * math.sqrt(2)), ("scan", 0.5 * w1)):
-        cfg = write_config(tmp_path / f"{path}.json",
-                           {"eta": 6.5, "N1_ini": 1e8, "N2": 1e4,
-                            "T_ini_uK": 300, "omega1_bar_rad_per_s": w1,
-                            "omega2_bar_rad_per_s": w2})
-        out = tmp_path / path
-        assert main(["budget", "--config", cfg, "--out", str(out)]) == 0
-        manifest = read_json(out / "budget_manifest.json")
-        assert manifest["diagnostics"] == {"regime_path": path}
-        assert "regime_path" not in (out / "budget_outcome.json").read_text()
-    out = tmp_path / "pd"
-    assert main(["phase-diagram", "--ratio", "0.9", "--eta-min", "3.5",
-                 "--eta-points", "3", "--n2-points", "4",
-                 "--out", str(out)]) == 0
-    manifest = read_json(out / "phase_diagram_manifest.json")
-    assert manifest["diagnostics"] == {"cells_closed_form": 8,
-                                       "cells_scanned": 4}
-    for name in manifest["outputs"]:
-        assert "cells_" not in (out / name).read_text()
-
-
 # ----------------------------------------------------------- phase diagram
 
 def test_phase_diagram_csv_example(tmp_path, monkeypatch):
@@ -676,24 +649,26 @@ README_DSMC = {
     "cell_size_um": 2.4, "record_every": 20, "seed": 11}
 
 
-# a scan-path classify and a short finite trajectory: the calls that load
-# scipy; run in a fresh interpreter and, as the reference, in this one
+# an extrapolation-zone classify, then a short finite trajectory, the one
+# call that loads scipy; run in a fresh interpreter and, as the reference,
+# in this one
 _SCIPY_CALLS = """
-import dataclasses
+import dataclasses, sys
 from sympcool import (MASS_RB87, BudgetParams, RateDriven, TrajectoryConfig,
                       TrapFrequencies, TwoGasState, classify,
                       simulate_with_audit)
 w1 = 289.49564890835956
-scan = classify(1e4, BudgetParams(eta=6.5, N1_ini=1e8, N2=1e4,
-                                  T_ini=300e-6, omega1_bar=w1,
-                                  omega2_bar=0.5 * w1))
+extrap = classify(1e4, BudgetParams(eta=6.5, N1_ini=1e8, N2=1e4,
+                                    T_ini=300e-6, omega1_bar=w1,
+                                    omega2_bar=0.5 * w1))
+after_classify = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 f = TrapFrequencies.from_axes(628.3, 628.3, 628.3, gravity=0.0)
 state = TwoGasState(N1=1e6, N2=1e4, T1=10e-6, T2=12e-6, f1=f, f2=f,
                     M1=MASS_RB87, M2=MASS_RB87, sigma12=2e-15, delta=0.0)
 points, audit = simulate_with_audit(TrajectoryConfig(
     initial=state, eta=6.5, t_end=2.0, dt_max=0.05,
     evaporation_model=RateDriven(prefactor=5.0, sigma_self=2e-15)))
-values = repr((scan, [dataclasses.astuple(p) for p in points],
+values = repr((extrap, [dataclasses.astuple(p) for p in points],
                audit["nfev"], audit["rk_steps"], audit["status"]))
 """
 
@@ -706,34 +681,48 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(scipy_modules()))
 """ + _SCIPY_CALLS + """
+print(json.dumps(after_classify))
 print(json.dumps(scipy_modules()))
 print(values)
 """
 
 
 def test_cold_start_loads_scipy_only_to_integrate_or_find_roots(tmp_path):
-    """Importing sympcool and running the README trap, closed-form budget
-    and contact sweep loads no scipy module; a scan-path classify and a
-    finite trajectory then load it on first use and return exactly what
-    they return in this process, where scipy was loaded up front."""
+    """Importing sympcool and running the README trap, budget (under the
+    closed-form ordering and, with a soft target trap, outside it),
+    phase-diagram and contact sweep loads no scipy module, and neither
+    does an extrapolation-zone classify; a finite trajectory then loads
+    scipy on first use.  Both return exactly what they return in this
+    process, where scipy was loaded up front.  The budget and
+    phase-diagram manifests carry no diagnostics."""
     trap = write_config(tmp_path / "trap.json", README_TRAP)
     budget = write_config(tmp_path / "budget.json", README_BUDGET)
+    soft = write_config(tmp_path / "soft.json", {
+        **README_BUDGET, "omega2_bar_rad_per_s": 314.15})
     state = write_config(tmp_path / "state.json", README_STATE)
-    out = str(tmp_path / "out")
-    runs = [["trap", "--config", trap, "--out", out],
-            ["budget", "--config", budget, "--out", out],
+    out = tmp_path / "out"
+    runs = [["trap", "--config", trap, "--out", str(out)],
+            ["budget", "--config", budget, "--out", str(out / "ordered")],
+            ["budget", "--config", soft, "--out", str(out / "soft")],
+            ["phase-diagram", "--ratio", "0.9", "--eta-min", "3.5",
+             "--eta-points", "3", "--n2-points", "4", "--out", str(out)],
             ["contact", "--state", state, "--sweep", "delta:0:40e-6:81",
-             "--out", out]]
+             "--out", str(out)]]
     proc = _python("-c", _COLD_START, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
-    before, after, values = proc.stdout.splitlines()
-    assert json.loads(before) == []
+    before, after_classify, after, values = proc.stdout.splitlines()
+    assert json.loads(before) == json.loads(after_classify) == []
     assert {"scipy.integrate", "scipy.optimize"} <= set(json.loads(after))
-    assert read_json(Path(out) / "budget_manifest.json")["diagnostics"] \
-        == {"regime_path": "closed_form"}
+    assert read_json(out / "soft" / "budget_outcome.json")[
+        "closed_form_ordering"] is False
+    for manifest in (out / "ordered" / "budget_manifest.json",
+                     out / "soft" / "budget_manifest.json",
+                     out / "phase_diagram_manifest.json"):
+        assert "diagnostics" not in read_json(manifest)
     here: dict = {}
     exec(_SCIPY_CALLS, here)
-    assert "regime_path='scan'" in values and values == here["values"]
+    assert "closed_form_ordering=False" in values
+    assert values == here["values"]
 
 
 def _frozen_cases(tmp_path):
@@ -815,11 +804,10 @@ def _frozen_cases(tmp_path):
 def _file_digests(out):
     """sha256 of every file in out; a manifest is hashed without its
     wall_time and command (which holds the --out path), and without its
-    diagnostics (traj solver statistics, budget and phase-diagram regime
-    paths, dsmc counters and energy drift), which
-    test_traj_manifest_solver_diagnostics, test_regime_path_diagnostics
-    and test_dsmc_manifest_diagnostics_match_the_run pin and which the
-    digests below predate."""
+    diagnostics (traj solver statistics, dsmc counters and energy drift),
+    which test_traj_manifest_solver_diagnostics and
+    test_dsmc_manifest_diagnostics_match_the_run pin and which the digests
+    below predate."""
     digests = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
@@ -832,7 +820,10 @@ def _file_digests(out):
     return digests
 
 
-# recorded before the config schema and the one table writer
+# recorded before the config schema and the one table writer, except
+# budget_shallow/budget_outcome.json: its eta 2.5 lies in the extrapolation
+# zone, where dequal became the exact closed form (one ulp below the scan's
+# Brent root, 3.1656990015916262e-09)
 FROZEN = {
     "trap_56G/constants.json":
         "f735db0aca6fc9b7c058fc01c344e21044871b4ddcc1f8afbb43bb0e0ac27b8b",
@@ -853,7 +844,7 @@ FROZEN = {
     "budget_shallow/budget_manifest.json":
         "f356c450db0c19d8bf6cee062e2279e24bfbdcd1469b6a364a818957d7037a76",
     "budget_shallow/budget_outcome.json":
-        "a82592bf5ae1673322fb97a62994b84f348dea82cdaa4fd35d03ba1faa2e68ab",
+        "a502d01fb133aa2bc0c67401be330218244f20d5e64e73e879eaf4fe120930c4",
     "budget_readme/budget_manifest.json":
         "34dc775c51a5e566ffe788b8a1baebb286a4632f3f719b9735139ed6805e995c",
     "budget_readme/budget_outcome.json":
