@@ -344,6 +344,18 @@ def classify(N2: float, p: BudgetParams) -> CoolingOutcome:
                           closed_form_ordering=ordered)
 
 
+def _diagram_cell(N2: float, p: BudgetParams) -> CoolingOutcome | None:
+    """classify(N2, p), or None where the model overflows there: a tiny N2
+    can overflow N1 / N2 in temperature_of, or underflow K_B T_min to 0
+    and a density to inf (quietly: the divisions by 0 do not warn)."""
+    try:
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+            out = classify(N2, p)
+    except (FloatingPointError, OverflowError):
+        return None
+    return None if math.inf in (out.D1_max, out.D2_max) else out
+
+
 def phase_diagram(eta_grid, n2_grid, trap_ratio: float) -> dict:
     """Regime table over an (eta, N2/N2_c) grid at fixed omega2/omega1.
 
@@ -354,8 +366,10 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float) -> dict:
     have no interior peak and the cells are omitted as well) and
     closed_form_ordering.  The ratios are independent of the reference
     N1_ini and T_ini used internally; at those numbers N2_c under- or
-    overflows for eta just above 3, and so may the model curves of a cell,
-    which raises DomainError naming eta.
+    overflows for eta just above 3, and so may the model curves of a cell.
+    A cell that overflows raises DomainError: one naming eta when the
+    cell N2 = N2_c of that eta overflows too, else one naming the cell's
+    N2 / N2_c.
     """
     require_positive(trap_ratio=trap_ratio)
     omega1 = 2.0 * math.pi * 100.0
@@ -374,17 +388,15 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float) -> dict:
                            "n2b_over_n2c": n2b / n2c,
                            "closed_form_ordering": _closed_form_ordering(p)})
         for ratio in cells:
-            # a tiny N2_c can overflow N1 / N2 in temperature_of, or
-            # underflow K_B T_min to 0 and a density to inf
-            try:
-                with np.errstate(over="raise"):
-                    out = classify(ratio * n2c, p)
-            except (FloatingPointError, OverflowError):
-                out = None
-            if out is None or math.inf in (out.D1_max, out.D2_max):
+            out = _diagram_cell(ratio * n2c, p)
+            if out is None and _diagram_cell(n2c, p) is None:
                 raise DomainError(f"eta = {eta:.6g} is too close to 3: the "
                                   f"model overflows at N2 = {ratio:.6g} N2_c "
-                                  "and the reference numbers") from None
+                                  "and the reference numbers")
+            if out is None:
+                raise DomainError(f"N2 = {ratio:.6g} N2_c is too small at "
+                                  f"eta = {eta:.6g}: the model overflows "
+                                  "there at the reference numbers")
             rows.append({"eta": float(eta), "n2_over_n2c": float(ratio),
                          "region": out.region.value, "d1max": out.D1_max,
                          "d2max": out.D2_max, "dequal": out.D_equal})

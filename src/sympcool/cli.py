@@ -192,9 +192,12 @@ def _cell(c, as_json: bool):
 
 def _column_text(column) -> list[str]:
     """The CSV cells of one column as _cell writes them: a column of
-    floats by float.__repr__ in one pass, any other cell by cell."""
+    floats by float.__repr__ and one of booleans as 1/0, each in one pass,
+    any other cell by cell."""
     if all(isinstance(c, float) for c in column):
         return list(map(float.__repr__, column))
+    if all(isinstance(c, (bool, np.bool_)) for c in column):
+        return ["1" if c else "0" for c in column]
     return [_cell(c, False) for c in column]
 
 
@@ -390,9 +393,13 @@ def _cmd_phase_diagram(args, cfg: dict, raw: str) -> dict:
     except DomainError as exc:
         # the errors that name eta come from an N2_c that runs off as eta
         # nears 3, so the smallest eta, which phase_diagram takes first,
-        # fails first; any other means a cell's N2 reached N1_ini
+        # fails first; those naming N2 from the smallest cells, which it
+        # takes first at each eta; any other means a cell's N2 reached
+        # N1_ini
         if str(exc).startswith("eta = "):
             raise ConfigError(f"--eta-min {args.eta_min!r}: {exc}")
+        if str(exc).startswith("N2 = "):
+            raise ConfigError(f"--n2-min {args.n2_min!r}: {exc}")
         raise ConfigError(f"--n2-max {args.n2_max!r} is too large: a cell's "
                           "target number N2 = n2 * N2_c reaches the "
                           "diagram's reference buffer number")

@@ -36,6 +36,8 @@ from .physics import TrapFrequencies
 _PI2 = math.pi ** 2
 _TWO_PI2_KB = 2.0 * math.pi ** 2 * K_B
 _TINY = sys.float_info.min      # smallest positive normal float
+_WIDTHS_UNDERFLOW = ("the pair widths underflow to 0: the clouds are too "
+                    "cold for their traps")
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,7 @@ def _pair_rates(s: TwoGasState):
         rz2 = rz ** 2
         volume = _PI2 * rx * ry * rz
         if volume == 0 or rz2 == 0:
-            raise DomainError("the pair widths underflow to 0: the clouds "
-                              "are too cold for their traps")
+            raise DomainError(_WIDTHS_UNDERFLOW)
         overlap = math.exp(-delta2 / (2.0 * rz2))
         v = math.sqrt(kt1 / M1 + kt2 / M2)
         gamma = N1 * N2 / volume * sigma12 * v * overlap

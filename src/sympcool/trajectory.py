@@ -28,6 +28,13 @@ interpolant coefficients, whose summation order the bits depend on.
 _dense evaluates the interpolants, for roots and samples alike, in
 scipy's numpy operations.  Finite mode integrates, and so does instant
 mode on a rate-driven schedule; an instant-mode ramp never loads scipy.
+
+The right-hand side, called six times per step, is one closure per
+config that writes out the contact module's pair rate Gamma and, when
+rate-driven, the buffer's own collision rate in their operation order,
+so its floats are theirs (a test pins the copy to those formulas); the
+sample points are filled through the slots of TrajectoryPoint instead
+of its frozen __init__.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -43,8 +50,8 @@ import numpy as np
 
 from .budget import BudgetParams, Region, _psd, _region, temperature_of
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
-from .contact import (TwoGasState, _pair_rates, _self_rate,
-                      transfer_efficiency)
+from .contact import (TwoGasState, _PI2, _TWO_PI2_KB, _WIDTHS_UNDERFLOW,
+                      _pair_rates, _trap_terms, transfer_efficiency)
 from .errors import (DomainError, StepFailure, require_finite,
                      require_positive)
 
@@ -139,7 +146,7 @@ class TrajectoryConfig:
                 raise DomainError("ramp must start at the initial N1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryPoint:
     t: float
     N1: float
@@ -154,6 +161,13 @@ class TrajectoryPoint:
     bec2: bool
 
 
+# the slots' own setters, in field order: _Model.points fills a new point
+# through them, which costs less than the frozen __init__'s
+# object.__setattr__ per field
+_POINT_SETTERS = tuple(getattr(TrajectoryPoint, f.name).__set__
+                       for f in fields(TrajectoryPoint))
+
+
 @dataclass(frozen=True)
 class TrajectoryEvent:
     """A latched flag transition with linearly interpolated time/state."""
@@ -166,28 +180,36 @@ class TrajectoryEvent:
 
 
 class _Model:
-    """The per-config constants of one trajectory, bound once, and the
-    functions the integrator and the point builder evaluate on them: rhs,
+    """The per-config constants of one trajectory, bound once into the
+    functions the integrator and the point builder evaluate: rhs, ndot,
     the crossing functions and points take any sequence of floats (a
     list, a tuple or an ndarray) as the state.
 
     Every expression keeps the evaluation order of the contact and budget
     functions it stands for, so each float is bit-identical to theirs.
+    rhs writes out contact._pair_rates' Gamma and, rate-driven,
+    contact._self_rate, instead of calling them: the integrator evaluates
+    it six times per step, and the calls were half its cost.  A test pins
+    that copy to the contact formulas.  max(a, b) is written b if b > a
+    else a, which is what max does, a NaN a included.
     """
 
     def __init__(self, cfg: TrajectoryConfig):
         s = cfg.initial
-        self.N2 = s.N2
+        N2, M1, M2, sigma12 = s.N2, s.M1, s.M2, s.sigma12
+        (x1, y1, z1), (x2, y2, z2) = (_trap_terms(M1, s.f1),
+                                      _trap_terms(M2, s.f2))
+        delta2 = s.delta ** 2
+        xi = transfer_efficiency(M1, M2)
+        eta_m2, eta_p1 = cfg.eta - 2.0, cfg.eta + 1.0
+        three_n2_kb = 3.0 * N2 * K_B
+        pref = cfg.psd_prefactor
+        hw1, hw2 = HBAR * s.f1.omega_bar, HBAR * s.f2.omega_bar
+        threshold = cfg.bec_threshold
+        self.N2, self.psd_prefactor, self.threshold = N2, pref, threshold
+        self.hbar_omega1, self.hbar_omega2 = hw1, hw2
         self.pair = _pair_rates(s)              # (N1, T1, T2) -> rates
-        self.hbar_omega1 = HBAR * s.f1.omega_bar
-        self.hbar_omega2 = HBAR * s.f2.omega_bar
-        self.xi = transfer_efficiency(s.M1, s.M2)
-        self.eta_m2 = cfg.eta - 2.0
-        self.eta_p1 = cfg.eta + 1.0
-        self.three_n2_kb = 3.0 * s.N2 * K_B
-        self.psd_prefactor = cfg.psd_prefactor
-        self.threshold = cfg.bec_threshold
-        self.latch = cfg.bec_threshold * (1.0 - 1e-12)
+        self.latch = threshold * (1.0 - 1e-12)
         m = cfg.evaporation_model
         if isinstance(m, RampDriven):
             slope = m.slope
@@ -195,49 +217,71 @@ class _Model:
             def ndot(t, N1, T1):
                 return slope(t)
         else:
+            slope = None
             sigma1 = m.sigma_self if m.sigma_self is not None else s.sigma12
-            M1, omega1_bar3 = s.M1, s.f1.omega_bar ** 3
+            omega1_bar3 = s.f1.omega_bar ** 3
             neg_prefactor, exp_eta = -m.prefactor, math.exp(-cfg.eta)
 
             def ndot(t, N1, T1):
                 """-prefactor * gamma1 * exp(-eta) * N1."""
                 if T1 <= 0:
                     raise DomainError("T must be positive")
-                gamma1 = _self_rate(max(N1, N1_FLOOR), T1, omega1_bar3,
-                                    sigma1, M1)
+                n = N1_FLOOR if N1_FLOOR > N1 else N1
+                gamma1 = n * omega1_bar3 * sigma1 * M1 / (_TWO_PI2_KB * T1)
                 return neg_prefactor * gamma1 * exp_eta * N1
-        self.ndot = ndot
 
-    def rhs(self, t, y):
-        """Finite-contact derivatives of (N1, T1, T2, E_removed)."""
-        n1, t1, t2, _ = y
-        n1 = max(n1, N1_FLOOR)
-        nd = self.ndot(t, n1, t1)
-        if t1 <= 0 or t2 <= 0:
-            raise DomainError("temperatures must be positive")
-        gamma = self.pair(n1, t1, t2)[2]
-        # energy_exchange_rate: W = k_B (T2 - T1) Gamma
-        w = self.xi * (K_B * (t2 - t1) * gamma)
-        dT1 = self.eta_m2 * t1 * nd / (3.0 * n1) + w / (3.0 * n1 * K_B)
-        dT2 = -w / self.three_n2_kb
-        return (nd, dT1, dT2, nd * self.eta_p1 * K_B * t1)
+        def rhs(t, y):
+            """Finite-contact derivatives of (N1, T1, T2, E_removed)."""
+            n1, t1, t2, _ = y
+            if N1_FLOOR > n1:
+                n1 = N1_FLOOR
+            if slope is None:
+                # ndot: max(n1, N1_FLOOR) is n1 here
+                if t1 <= 0:
+                    raise DomainError("T must be positive")
+                gamma1 = n1 * omega1_bar3 * sigma1 * M1 / (_TWO_PI2_KB * t1)
+                nd = neg_prefactor * gamma1 * exp_eta * n1
+            else:
+                nd = slope(t)
+            if t1 <= 0 or t2 <= 0:
+                raise DomainError("temperatures must be positive")
+            # _pair_rates(s)(n1, t1, t2)[2]
+            kt1 = K_B * t1
+            kt2 = K_B * t2
+            rx = math.sqrt(kt1 / x1 + kt2 / x2)
+            ry = math.sqrt(kt1 / y1 + kt2 / y2)
+            rz = math.sqrt(kt1 / z1 + kt2 / z2)
+            rz2 = rz ** 2
+            volume = _PI2 * rx * ry * rz
+            if volume == 0 or rz2 == 0:
+                raise DomainError(_WIDTHS_UNDERFLOW)
+            overlap = math.exp(-delta2 / (2.0 * rz2))
+            v = math.sqrt(kt1 / M1 + kt2 / M2)
+            gamma = n1 * N2 / volume * sigma12 * v * overlap
+            # energy_exchange_rate: W = k_B (T2 - T1) Gamma
+            w = xi * (K_B * (t2 - t1) * gamma)
+            dT1 = eta_m2 * t1 * nd / (3.0 * n1) + w / (3.0 * n1 * K_B)
+            dT2 = -w / three_n2_kb
+            return (nd, dT1, dT2, nd * eta_p1 * K_B * t1)
 
-    def d1_crossing(self, t, y):
-        """D1 - bec_threshold at state y: its upward zero is the buffer's
-        condensation."""
-        if y[1] <= 0:
-            raise DomainError("T must be positive")
-        return (self.psd_prefactor * _psd(max(y[0], 0.0), y[1],
-                                          self.hbar_omega1)
-                - self.threshold)
+        def d1_crossing(t, y):
+            """D1 - bec_threshold at state y: its upward zero is the
+            buffer's condensation."""
+            n1, t1 = y[0], y[1]
+            if t1 <= 0:
+                raise DomainError("T must be positive")
+            return pref * _psd(0.0 if 0.0 > n1 else n1, t1, hw1) - threshold
 
-    def d2_crossing(self, t, y):
-        """D2 - bec_threshold at state y: its upward zero is the target's
-        condensation."""
-        if y[2] <= 0:
-            raise DomainError("T must be positive")
-        return (self.psd_prefactor * _psd(self.N2, y[2], self.hbar_omega2)
-                - self.threshold)
+        def d2_crossing(t, y):
+            """D2 - bec_threshold at state y: its upward zero is the
+            target's condensation."""
+            t2 = y[2]
+            if t2 <= 0:
+                raise DomainError("T must be positive")
+            return pref * _psd(N2, t2, hw2) - threshold
+
+        self.ndot, self.rhs = ndot, rhs
+        self.d1_crossing, self.d2_crossing = d1_crossing, d2_crossing
 
     def points(self, ts, N1s, T1s, T2s, stop=False) -> list[TrajectoryPoint]:
         """Latched trajectory points from sampled arrays; with stop, the
@@ -245,6 +289,9 @@ class _Model:
         ndot, pair, N2 = self.ndot, self.pair, self.N2
         pref, hw1, hw2 = self.psd_prefactor, self.hbar_omega1, self.hbar_omega2
         latch, threshold = self.latch, self.threshold
+        new = object.__new__
+        (set_t, set_n1, set_t1, set_t2, set_d1, set_d2, set_gamma,
+         set_overlap, set_stalled, set_bec1, set_bec2) = _POINT_SETTERS
         pts: list[TrajectoryPoint] = []
         stalled = bec1 = bec2 = False
         for t, n1, t1, t2 in zip(ts.tolist(), N1s.tolist(), T1s.tolist(),
@@ -252,17 +299,28 @@ class _Model:
             nd = ndot(t, n1, t1)
             if t1 <= 0 or t2 <= 0:
                 raise DomainError("temperatures must be positive")
-            _, ov, gamma = pair(max(n1, 1e-9), t1, t2)
+            _, ov, gamma = pair(1e-9 if 1e-9 > n1 else n1, t1, t2)
             gamma = gamma if n1 > 0 else 0.0
-            d1 = pref * _psd(max(n1, 0.0), t1, hw1)
+            d1 = pref * _psd(0.0 if 0.0 > n1 else n1, t1, hw1)
             d2 = pref * _psd(N2, t2, hw2)
             # the guard keeps the latch robust when a terminal stop event
             # lands a float ulp below the threshold it just located
             bec1 = bec1 or d1 >= latch
             bec2 = bec2 or d2 >= latch
             stalled = stalled or (ov < STALL_OVERLAP and nd < 0)
-            pts.append(TrajectoryPoint(t, n1, t1, t2, d1, d2, gamma, ov,
-                                       stalled, bec1, bec2))
+            p = new(TrajectoryPoint)
+            set_t(p, t)
+            set_n1(p, n1)
+            set_t1(p, t1)
+            set_t2(p, t2)
+            set_d1(p, d1)
+            set_d2(p, d2)
+            set_gamma(p, gamma)
+            set_overlap(p, ov)
+            set_stalled(p, stalled)
+            set_bec1(p, bec1)
+            set_bec2(p, bec2)
+            pts.append(p)
             if stop and (d1 >= threshold or d2 >= threshold):
                 break
         return pts

@@ -148,3 +148,47 @@ def test_bad_claim_stops_before_any_run(monkeypatch, capsys, claim):
         bench_pairs.main()
     assert stop.value.code == 2
     assert "--claim" in capsys.readouterr().err
+
+
+BOUNDS = {"wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+          "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower",
+                          "bound": 0.1}}
+
+
+def test_bound_check_in_the_better_direction():
+    lower = {"better": "lower", "bound": 0.1}
+    higher = {"better": "higher", "bound": 0.1}
+    assert bench_pairs.bound_check(100.0, 109.9, lower)["verdict"] == "within"
+    assert bench_pairs.bound_check(100.0, 50.0, lower)["verdict"] == "within"
+    assert bench_pairs.bound_check(100.0, 110.1, lower) == {
+        "better": "lower", "bound": 0.1, "verdict": "exceeded"}
+    assert bench_pairs.bound_check(100.0, 90.1, higher)["verdict"] == "within"
+    assert bench_pairs.bound_check(100.0, 200.0,
+                                   higher)["verdict"] == "within"
+    assert bench_pairs.bound_check(100.0, 89.9,
+                                   higher)["verdict"] == "exceeded"
+    # a metric at 0 on the parent side exceeds any bound once it rises
+    assert bench_pairs.bound_check(0.0, 1e-9, lower)["verdict"] == "exceeded"
+
+
+def test_summary_checks_each_bound_and_the_claim_lists_the_exceeded():
+    """A peak RSS 15.7% above the parent's (bound 10%) is "exceeded" in
+    the summary and listed by the claim verdict, however well the claimed
+    metric does; per-layer summaries carry no bound."""
+    parent = [_run(1.3 + 0.01 * i, rss=100.0) for i in range(10)]
+    change = [_run(1.1 + 0.01 * i, rss=115.7) for i in range(10)]
+    s = bench_pairs.summarize(parent, change, METRICS, BOUNDS)
+    assert s["wall_s"]["bound"] == {"better": "lower", "bound": 0.25,
+                                    "verdict": "within"}
+    assert s["peak_rss_mb"]["bound"]["verdict"] == "exceeded"
+    calm = bench_pairs.summarize(parent, parent, METRICS, BOUNDS)
+    workloads = {"traj_overlap": s, "cli_study": calm}
+    assert bench_pairs.exceeded_bounds(workloads) == [
+        "traj_overlap peak_rss_mb"]
+    verdict = bench_pairs.claim_verdict(
+        s, "wall_s", bench_pairs.exceeded_bounds(workloads))
+    assert verdict["result"].endswith(": met")
+    assert verdict["bounds_exceeded"] == ["traj_overlap peak_rss_mb"]
+    assert bench_pairs.claim_verdict(calm, "wall_s")["bounds_exceeded"] == []
+    assert "bound" not in bench_pairs.summarize(parent, change,
+                                                METRICS)["wall_s"]

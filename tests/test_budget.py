@@ -422,8 +422,10 @@ def test_phase_diagram_refuses_the_cells_the_scan_refuses():
                 region = _scan_region(replace(p, N2=r * n2c))
         except FloatingPointError:
             refused += 1
-            with pytest.raises(DomainError,
-                               match=r"^eta = 3.03 is too close to 3"):
+            # the cell N2 = N2_c of this eta does not overflow, so the
+            # refusal names the cell, not eta
+            with pytest.raises(DomainError, match=rf"^N2 = {r:.6g} N2_c is "
+                               "too small at eta = 3.03"):
                 phase_diagram([eta], [r], trap_ratio=ratio)
             # where overflow only warns, classify still gives the scan's
             # region (overflowed grid points read 0, below the threshold)
@@ -540,7 +542,9 @@ def test_phase_diagram_refuses_cells_whose_densities_overflow():
     """At eta 8 and ratio 2 the cell N2 = 1e-152 N2_c underflows K_B T_min
     to 0, so its densities turn infinite with no numpy overflow at the
     ramp's ends.  The scan of its curves overflows, and phase_diagram
-    refuses the cell instead of writing rows of infinities."""
+    refuses the cell instead of writing rows of infinities.  Eta 8 is far
+    from 3 (the cell N2 = N2_c is fine), so the refusal names the cell's
+    N2 / N2_c."""
     w1 = 2 * math.pi * 100.0
     p = BudgetParams(eta=8.0, N1_ini=1e8, N2=1e4, T_ini=300e-6,
                      omega1_bar=w1, omega2_bar=2.0 * w1)
@@ -548,7 +552,8 @@ def test_phase_diagram_refuses_cells_whose_densities_overflow():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError), np.errstate(over="raise"):
             _scan_region(cell)
-        with pytest.raises(DomainError, match=r"^eta = 8 is too close to 3"):
+        with pytest.raises(DomainError, match=r"^N2 = 1e-152 N2_c is too "
+                           "small at eta = 8: the model overflows"):
             phase_diagram([8.0], [1e-152], trap_ratio=2.0)
 
 

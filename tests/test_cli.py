@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -182,6 +183,37 @@ def test_phase_diagram_rejects_cells_that_overflow(tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sympcool: config error: --eta-min 3.026")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column", [
+    [True, False, True], [np.bool_(True), False, np.bool_(False)],
+    [0.5, -0.0, math.nan], [True, 1.5], ["G", True, np.float64(2.0)]],
+    ids=["bool", "numpy_bool", "float", "bool_float", "mixed"])
+def test_column_text_writes_each_cell_as_cell_does(column):
+    """A CSV column comes out as _cell writes each of its cells, whether
+    it is written in one pass (all floats, all booleans) or cell by
+    cell."""
+    from sympcool.cli import _cell, _column_text
+    assert _column_text(column) == [_cell(c, False) for c in column]
+
+
+def test_phase_diagram_blames_n2_min_for_a_tiny_cell(tmp_path, capfd):
+    """At eta 8 and ratio 2 the cell N2 = 1e-152 N2_c overflows, but the
+    cell N2 = N2_c of that eta does not: the config error names --n2-min,
+    not --eta-min, no numpy RuntimeWarning reaches stderr, and nothing is
+    written."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["phase-diagram", "--ratio", "2", "--eta-min", "8",
+                     "--eta-max", "8", "--eta-points", "1", "--n2-min",
+                     "1e-152", "--n2-max", "1e-152", "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capfd.readouterr().err
+    assert err == ("sympcool: config error: --n2-min 1e-152: N2 = 1e-152 "
+                   "N2_c is too small at eta = 8: the model overflows there "
+                   "at the reference numbers\n")
     assert not out.exists()
 
 

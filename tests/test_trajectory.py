@@ -2,7 +2,8 @@
 
 import hashlib
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -35,8 +36,10 @@ from sympcool import (
     trap_frequencies,
 )
 from sympcool import trajectory
-from sympcool.constants import AMU, G_STANDARD
-from sympcool.errors import DomainError, StepFailure
+from sympcool.budget import _psd
+from sympcool.constants import AMU, G_STANDARD, HBAR, K_B
+from sympcool.contact import _pair_rates, _self_rate, transfer_efficiency
+from sympcool.errors import DomainError, StepFailure, SympcoolError
 from sympcool.trajectory import N1_FLOOR, _sample_grid, region_of_events
 
 SIG = 1.4e-15
@@ -845,3 +848,163 @@ def test_step_failure_matches_solve_ivp():
     with pytest.raises(StepFailure) as failure:
         trajectory._integrate(rhs, y0, cfg)
     assert str(failure.value) == ref.message
+
+
+# ------------------------------- the model's derivative and its points
+
+def _contact_model(cfg):
+    """(rhs, ndot, d1_crossing, d2_crossing) of cfg written with the
+    contact and budget functions they stand for, in the order the
+    trajectory evaluated them before it wrote the pair and self rates
+    out."""
+    s, m = cfg.initial, cfg.evaporation_model
+    pair = _pair_rates(s)
+    xi = transfer_efficiency(s.M1, s.M2)
+    hw1, hw2 = HBAR * s.f1.omega_bar, HBAR * s.f2.omega_bar
+
+    def ndot(t, N1, T1):
+        if isinstance(m, RampDriven):
+            return m.slope(t)
+        if T1 <= 0:
+            raise DomainError("T must be positive")
+        sigma1 = m.sigma_self if m.sigma_self is not None else s.sigma12
+        gamma1 = _self_rate(max(N1, N1_FLOOR), T1, s.f1.omega_bar ** 3,
+                            sigma1, s.M1)
+        return -m.prefactor * gamma1 * math.exp(-cfg.eta) * N1
+
+    def rhs(t, y):
+        n1, t1, t2, _ = y
+        n1 = max(n1, N1_FLOOR)
+        nd = ndot(t, n1, t1)
+        if t1 <= 0 or t2 <= 0:
+            raise DomainError("temperatures must be positive")
+        gamma = pair(n1, t1, t2)[2]
+        w = xi * (K_B * (t2 - t1) * gamma)
+        dT1 = ((cfg.eta - 2.0) * t1 * nd / (3.0 * n1)
+               + w / (3.0 * n1 * K_B))
+        dT2 = -w / (3.0 * s.N2 * K_B)
+        return (nd, dT1, dT2, nd * (cfg.eta + 1.0) * K_B * t1)
+
+    def d1_crossing(t, y):
+        if y[1] <= 0:
+            raise DomainError("T must be positive")
+        return (cfg.psd_prefactor * _psd(max(y[0], 0.0), y[1], hw1)
+                - cfg.bec_threshold)
+
+    def d2_crossing(t, y):
+        if y[2] <= 0:
+            raise DomainError("T must be positive")
+        return (cfg.psd_prefactor * _psd(s.N2, y[2], hw2)
+                - cfg.bec_threshold)
+    return rhs, ndot, d1_crossing, d2_crossing
+
+
+def _outcome(fn, *args):
+    """The bytes of fn's result, or the type and message it raises."""
+    try:
+        return np.array(fn(*args), dtype=float).tobytes()
+    except (SympcoolError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_model_matches_contact(cfg, t, y):
+    model = trajectory._Model(cfg)
+    rhs, ndot, d1, d2 = _contact_model(cfg)
+    for ours, ref in ((model.rhs, rhs), (model.d1_crossing, d1),
+                      (model.d2_crossing, d2)):
+        assert _outcome(ours, t, y) == _outcome(ref, t, y)
+    assert _outcome(model.ndot, t, y[0], y[1]) == _outcome(ndot, t, y[0],
+                                                           y[1])
+
+
+def _model_cfg(masses=(MASS_RB87, MASS_RB87), f1=F0, f2=F0, delta=0.0,
+               sigma=SIG, N2=1e4, eta=6.5, evaporation=RateDriven()):
+    s = TwoGasState(N1=1e6, N2=N2, T1=1e-5, T2=1e-5, f1=f1, f2=f2,
+                    M1=masses[0], M2=masses[1], sigma12=sigma, delta=delta)
+    return TrajectoryConfig(initial=s, eta=eta, evaporation_model=evaporation)
+
+
+_RAMP = RampDriven(times=(0.0, 5.0, 20.0), numbers=(1e6, 4e5, 1e4))
+_N1 = st.one_of(st.floats(1e-3, 1e9),
+                st.sampled_from([0.0, -0.0, 0.25, 1.0, -5.0, math.nan]))
+_T = st.one_of(st.floats(1e-10, 1e-3),
+               st.sampled_from([0.0, -1e-6, 1e-320, math.nan]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(masses=st.tuples(st.floats(6.0, 140.0), st.floats(6.0, 140.0)),
+       axes=st.tuples(*(_AXIS,) * 6), delta=st.floats(-30e-6, 30e-6),
+       sigma=st.floats(0.0, 1e-14), N2=st.floats(1e2, 1e6),
+       eta=st.floats(2.5, 12.0),
+       evaporation=st.one_of(
+           st.just(_RAMP),
+           st.builds(RateDriven, prefactor=st.floats(0.5, 1000.0),
+                     sigma_self=st.one_of(st.none(),
+                                          st.floats(1e-17, 1e-14)))),
+       t=st.floats(0.0, 30.0), y=st.tuples(_N1, _T, _T, st.floats(-1, 0)))
+def test_inline_derivative_equals_the_contact_formulas(masses, axes, delta,
+                                                       sigma, N2, eta,
+                                                       evaporation, t, y):
+    """rhs, ndot and both crossing functions of _Model give, bit for bit,
+    the result or the error of the same derivative built from
+    _pair_rates(s)(...)[2], _self_rate, transfer_efficiency and _psd, over
+    random configs and states: the one-atom floor, non-positive, NaN and
+    underflowing temperatures, both evaporation models."""
+    cfg = _model_cfg((masses[0] * AMU, masses[1] * AMU),
+                     TrapFrequencies(*axes[:3], gravity=0.0),
+                     TrapFrequencies(*axes[3:], gravity=0.0), delta, sigma,
+                     N2, eta, evaporation)
+    _assert_model_matches_contact(cfg, t, y)
+
+
+@pytest.mark.parametrize("evaporation", [RateDriven(prefactor=3.0),
+                                         RateDriven(sigma_self=2e-16),
+                                         _RAMP], ids=["rate", "rate_self",
+                                                      "ramp"])
+@pytest.mark.parametrize("t, y", [
+    (0.5, (0.25, 1.2e-6, 0.8e-6, 0.0)),
+    (0.5, (-0.0, 1.2e-6, 0.8e-6, 0.0)),
+    (0.5, (0.0, 1.2e-6, 0.8e-6, 0.0)),
+    (6.0, (math.nan, 1.2e-6, 0.8e-6, 0.0)),
+    (6.0, (1e4, math.nan, 0.8e-6, 0.0)),
+    (6.0, (1e4, 1.2e-6, math.nan, 0.0)),
+    (30.0, (1e4, 0.0, 0.8e-6, 0.0)),
+    (30.0, (1e4, 1.2e-6, -1e-9, 0.0)),
+    (1.0, (1e4, 1e-320, 1e-320, 0.0))],
+    ids=["below_floor", "minus_zero_N1", "zero_N1", "nan_N1", "nan_T1",
+         "nan_T2", "zero_T1", "negative_T2", "widths_underflow"])
+def test_inline_derivative_equals_the_contact_formulas_at_the_edges(
+        evaporation, t, y):
+    """The cases the random search must not miss: N1 below the one-atom
+    floor, -0.0 and NaN, each temperature NaN or non-positive, pair
+    widths that underflow, on both evaporation models (the ramp's slope
+    past its last knot included)."""
+    _assert_model_matches_contact(
+        _model_cfg(delta=3e-6, evaporation=evaporation), t, y)
+
+
+@pytest.mark.parametrize("make", [
+    _instant_rate_leg, lambda: _hold(_state(delta=2e-6), t_end=1.0,
+                                     dt_max=0.05)],
+    ids=["instant", "finite"])
+def test_points_keep_their_dataclass_behaviour(make):
+    """Points filled through the slots behave as ones built by the frozen
+    dataclass: fields in order, no assignment, equality and hash of
+    TrajectoryPoint(*astuple(p)), replace and a pickle round trip."""
+    pts = simulate_with_audit(make())[0]
+    assert [f.name for f in fields(TrajectoryPoint)] == [
+        "t", "N1", "T1", "T2", "D1", "D2", "Gamma", "overlap", "stalled",
+        "bec1", "bec2"]
+    assert len(pts) > 20
+    for p in pts:
+        assert type(p) is TrajectoryPoint
+        with pytest.raises(FrozenInstanceError):
+            p.T1 = 1.0
+        q = TrajectoryPoint(*astuple(p))
+        assert p == q and hash(p) == hash(q)
+        assert pickle.loads(pickle.dumps(p)) == p
+    p = pts[-1]
+    moved = replace(p, T2=2.0 * p.T2, bec2=True)
+    assert astuple(moved) == (*astuple(p)[:3], 2.0 * p.T2,
+                              *astuple(p)[4:10], True)
+    assert not hasattr(p, "__dict__")

@@ -18,14 +18,17 @@ perfbench/ and src/.  The output file records the host, the Python,
 numpy and scipy versions, the non-blank line count of src/sympcool in
 each checkout and, per workload and end-to-end metric, both sides'
 median and quartiles (linear interpolation), the relative change of the
-median, in how many pairs the change was lower, and every run.  With
---claim, a "claim" entry says whether the change is lower in at least
-nine of ten pairs and its median lies below the base's by more than the
-base's interquartile range, and "layers" summarizes the per-layer
-metrics the same way over TRACE_PAIRS alternating pairs of traced runs
-(--trace 1) on the claimed workload and the first TRACE_PAIRS seeds, to
-show in which layer the saving sits; one traced run swings by a fifth
-on layers a change does not touch.
+median, in how many pairs the change was lower, every run, and whether
+the change's median is worse than the base's by more than the metric's
+BENCHMARK.json bound ("within" or "exceeded").  With --claim, a "claim"
+entry says whether the change is lower in at least nine of ten pairs
+and its median lies below the base's by more than the base's
+interquartile range, lists every bound exceeded on any workload, and
+"layers" summarizes the per-layer metrics the same way over TRACE_PAIRS
+alternating pairs of traced runs (--trace 1) on the claimed workload
+and the first TRACE_PAIRS seeds, to show in which layer the saving
+sits; one traced run swings by a fifth on layers a change does not
+touch.
 
 Before the workloads, every side's cold start is timed: a fresh
 interpreter on `import sympcool, sympcool.cli`, and one on each README
@@ -108,13 +111,15 @@ def quartiles(values) -> dict:
 
 
 def summarize(base_runs: list[dict], change_runs: list[dict],
-              metrics: dict) -> dict:
+              metrics: dict, bounds: dict | None = None) -> dict:
     """One workload's summary from paired run.py results.
 
     base_runs[i] and change_runs[i] are the JSON results of pair i;
     metrics maps each metric to its unit.  A tie counts for neither side
     in the pair count, and the relative change is None where the
     parent's median is 0 (a layer that does not run on the workload).
+    bounds maps end-to-end metrics to their BENCHMARK.json entry; each
+    of those gets a "bound" entry from bound_check.
     """
     if len(base_runs) != len(change_runs) or not base_runs:
         raise ValueError("need the same positive number of runs per side")
@@ -140,7 +145,32 @@ def summarize(base_runs: list[dict], change_runs: list[dict],
             "change_lower_in_pairs": f"{lower}/{len(base_runs)}",
             "parent_runs": values["parent"], "change_runs": values["change"],
         }
+        if bounds and name in bounds:
+            out[name]["bound"] = bound_check(base, change, bounds[name])
     return out
+
+
+def bound_check(parent: float, change: float, spec: dict) -> dict:
+    """Whether the change's median is worse than the parent's by more
+    than spec["bound"], a fraction of the parent's median, in the
+    direction spec["better"] ("lower" or "higher") says is better."""
+    limit = spec["bound"]
+    if spec["better"] == "lower":
+        exceeded = change > parent * (1.0 + limit)
+    else:
+        exceeded = change < parent * (1.0 - limit)
+    return {"better": spec["better"], "bound": limit,
+            "verdict": "exceeded" if exceeded else "within"}
+
+
+def exceeded_bounds(workloads: dict) -> list[str]:
+    """"WORKLOAD METRIC" of every bound_check verdict "exceeded" in the
+    summaries of workloads (workload name to summarize's result)."""
+    return [f"{workload} {name}"
+            for workload, summary in workloads.items()
+            for name, entry in summary.items()
+            if isinstance(entry, dict)
+            and entry.get("bound", {}).get("verdict") == "exceeded"]
 
 
 def cold_start_summary(parent: dict, change: dict) -> dict:
@@ -168,9 +198,11 @@ def cold_start_summary(parent: dict, change: dict) -> dict:
     return out
 
 
-def claim_verdict(summary: dict, metric: str) -> dict:
+def claim_verdict(summary: dict, metric: str, exceeded=()) -> dict:
     """Lower in at least nine tenths of the pairs, and the median lower
-    than the parent's by more than the parent's interquartile range."""
+    than the parent's by more than the parent's interquartile range;
+    "bounds_exceeded" lists exceeded, the end-to-end bounds that the
+    change exceeds on any workload (see exceeded_bounds)."""
     m = summary[metric]
     lower, pairs = map(int, m["change_lower_in_pairs"].split("/"))
     parent, change = m["parent"], m["change"]
@@ -183,7 +215,8 @@ def claim_verdict(summary: dict, metric: str) -> dict:
             "result": f"lower in {lower}/{pairs} pairs, median "
                       f"{m['relative_change_of_median']:+.1%}, median gap "
                       f"{gap:.4g} against parent IQR {iqr:.4g} {m['unit']}: "
-                      + ("met" if held else "not met")}
+                      + ("met" if held else "not met"),
+            "bounds_exceeded": list(exceeded)}
 
 
 def src_lines(checkout: Path) -> int:
@@ -304,6 +337,7 @@ def main() -> None:
     seeds = parse_seeds(args.seeds)
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m for m in spec["end_to_end"]}
     layers = {m["name"]: m["unit"] for m in spec["per_layer"]}
     if args.claim:      # checked before the runs, which take about 40 min
         try:
@@ -350,16 +384,19 @@ def main() -> None:
 
         for workload in workloads:
             result["workloads"][workload] = summarize(
-                *pairs(workload, seeds, 0, metrics), metrics)
+                *pairs(workload, seeds, 0, metrics), metrics, bounds)
         if args.claim:
             workload, metric = claim
             result["claim"] = {
                 "metric": f"{workload} {metric}",
-                **claim_verdict(result["workloads"][workload], metric),
+                **claim_verdict(result["workloads"][workload], metric,
+                                exceeded_bounds(result["workloads"])),
                 "layers": summarize(
                     *pairs(workload, seeds[:TRACE_PAIRS], 1, ()), layers)}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n",
                               encoding="utf-8")
+    print("bounds exceeded: " + (", ".join(
+        exceeded_bounds(result["workloads"])) or "none"), flush=True)
 
 
 if __name__ == "__main__":
