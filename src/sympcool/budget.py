@@ -25,7 +25,8 @@ depend only on eta and omega2/omega1.  Outside that ordering (the
 extrapolation zone) the buffer peaks no later than the curves meet, so a
 buffer that condenses at all does so first, and the buffer's height at
 its peak, or at the ramp's start when the peak lies beyond it, decides
-whether it does (see classify).  No regime needs scipy.
+whether it does (see classify).  No regime needs scipy.  phase_diagram
+draws the map from eta, N2/N2_c and omega2/omega1 alone.
 
 temperature_of and phase_space_density, and so psd_curves, take a
 plain-float path for float or int inputs (np.float64 included): Python
@@ -290,6 +291,21 @@ def critical_numbers(p: BudgetParams) -> tuple[float, float, float]:
     return n2_a, n2_b, n2_c
 
 
+def _regime(at_start: bool, ordered: bool, d1: float, d2_max: float,
+            d_eq: float) -> Region:
+    """classify's regime rule; at_start: the target is condensed at the
+    start, d1: D1_top if at_start or not ordered, else D1_max."""
+    if at_start:                    # the buffer can only come second
+        return _region(1 if d1 >= BEC_THRESHOLD else None, 0)
+    first2 = 1 if d2_max >= BEC_THRESHOLD else None
+    if ordered:
+        # chronological ranks: the buffer reaches the threshold before the
+        # curves meet (0) or after they meet (2), the target after (1)
+        return _region(0 if d_eq > BEC_THRESHOLD
+                       else 2 if d1 >= BEC_THRESHOLD else None, first2)
+    return _region(0 if d1 >= BEC_THRESHOLD else None, first2)
+
+
 def classify(N2: float, p: BudgetParams) -> CoolingOutcome:
     """Cooling regime for N2 target atoms, everything else taken from p.
 
@@ -302,24 +318,21 @@ def classify(N2: float, p: BudgetParams) -> CoolingOutcome:
     condenses first if D_equal exceeds the threshold, second if only
     D1_max reaches it.  In the extrapolation zone the buffer peaks no later
     than the curves meet, while D1 > D2, so it condenses, first, if D1_top
-    reaches the threshold.  The target condenses if D2_max does.
+    reaches the threshold.  The target condenses if D2_max does (_regime).
 
     Under the ordering the outcome's fields are the closed forms, also past
     the ramp's start; in the extrapolation zone see CoolingOutcome.
     """
     p = replace(p, N2=float(N2))
     ordered = _closed_form_ordering(p)
-    # both curves at the ramp's two ends, on numpy: under
-    # np.errstate(over="raise") they raise where N1_ini / N2 or a density
-    # overflows there, which phase_diagram refuses
-    d2_start = psd_curves(np.array([p.N1_ini, 0.0]), p)[1][0]
+    d1_start, d2_start = psd_curves(p.N1_ini, p)
     d2_max = target_psd_max(p)
     if 3.0 * p.alpha > 1.0:
         n1_peak, d1_max = buffer_psd_max(p)
     else:                   # no interior peak: D1 rises with N1 throughout
         n1_peak = d1_max = math.inf
     n1_top, d1_top = ((n1_peak, d1_max) if n1_peak < p.N1_ini
-                      else (p.N1_ini, psd_curves(p.N1_ini, p)[0]))
+                      else (p.N1_ini, d1_start))
     if ordered:
         d_eq = equal_psd(p)
     else:
@@ -327,77 +340,70 @@ def classify(N2: float, p: BudgetParams) -> CoolingOutcome:
         r = p.omega2_bar / p.omega1_bar
         # r * r * r runs to inf where r ** 3 would raise OverflowError
         d_eq = equal_psd(p) if p.N2 * r * r * r <= p.N1_ini else math.nan
-
-    if d2_start >= BEC_THRESHOLD:     # the buffer can only come second
-        region = _region(1 if d1_top >= BEC_THRESHOLD else None, 0)
-    elif ordered:
-        # chronological ranks: the buffer reaches the threshold before the
-        # curves meet (0) or after they meet (2), the target after (1)
-        first1 = (0 if d_eq > BEC_THRESHOLD
-                  else 2 if d1_max >= BEC_THRESHOLD else None)
-        region = _region(first1, 1 if d2_max >= BEC_THRESHOLD else None)
-    else:
-        region = _region(0 if d1_top >= BEC_THRESHOLD else None,
-                         1 if d2_max >= BEC_THRESHOLD else None)
+    at_start = d2_start >= BEC_THRESHOLD
+    region = _regime(at_start, ordered, d1_top if at_start else d1_max,
+                     d2_max, d_eq)
     return CoolingOutcome(region=region, D1_max=d1_max, D2_max=d2_max,
                           D_equal=d_eq, N1_at_buffer_peak=n1_peak,
                           closed_form_ordering=ordered)
 
 
-def _diagram_cell(N2: float, p: BudgetParams) -> CoolingOutcome | None:
-    """classify(N2, p), or None where the model overflows there: a tiny N2
-    can overflow N1 / N2 in temperature_of, or underflow K_B T_min to 0
-    and a density to inf (quietly: the divisions by 0 do not warn)."""
-    try:
-        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
-            out = classify(N2, p)
-    except (FloatingPointError, OverflowError):
-        return None
-    return None if math.inf in (out.D1_max, out.D2_max) else out
+def _exp_normal(x: float) -> float | None:
+    """exp(x) if it is a positive normal float, else None."""
+    y = math.exp(x) if x < 709.78 else math.inf   # exp(709.79) overflows
+    return y if _TINY <= y < math.inf else None
 
 
 def phase_diagram(eta_grid, n2_grid, trap_ratio: float) -> dict:
-    """Regime table over an (eta, N2/N2_c) grid at fixed omega2/omega1.
+    """Regime table over an (eta, r = N2/N2_c) grid at fixed omega2/omega1,
+    in Fig. 3's large-buffer limit: the target is not condensed at the
+    start, and the buffer peak and the crossing lie inside the ramp.
 
-    Returns {"rows": [...], "boundaries": [...]}.  Each row is one grid
-    cell with keys eta, n2_over_n2c, region, d1max, d2max, dequal, as
-    classify gives them; each boundary entry carries the ratios
-    n2a_over_n2c / n2b_over_n2c (NaN for eta <= 3, where the closed forms
-    have no interior peak and the cells are omitted as well) and
-    closed_form_ordering.  The ratios are independent of the reference
-    N1_ini and T_ini used internally; at those numbers N2_c under- or
-    overflows for eta just above 3, and so may the model curves of a cell.
-    A cell that overflows raises DomainError: one naming eta when the
-    cell N2 = N2_c of that eta overflows too, else one naming the cell's
-    N2 / N2_c.
+    Returns {"rows": [...], "boundaries": [...]}: per cell eta,
+    n2_over_n2c, region (_regime's), d1max, d2max and dequal; per eta
+    n2a_over_n2c, n2b_over_n2c (NaN for eta <= 3: no interior peak, no
+    cells) and closed_form_ordering.  With a3 = 3 alpha, and no N1_ini,
+    T_ini or omega1, all in logs:
+
+        D2_max = 2.612 r^(1 - a3),  D1_max = D2_max K_b,  D_equal = D2_max K_a,
+        K_a = (1 + (omega2/omega1)^3)^(-a3),  N2_a/N2_c = K_a^(1/(a3 - 1)),
+        K_b = (omega1/omega2)^3 (a3 - 1)^(a3 - 1) / a3^a3,  N2_b/N2_c alike.
+
+    A number that is not a positive normal float raises DomainError naming
+    eta (a boundary: eta too close to 3), or eta and r (a cell).
     """
     require_positive(trap_ratio=trap_ratio)
-    omega1 = 2.0 * math.pi * 100.0
+    r3 = trap_ratio * trap_ratio * trap_ratio   # (omega2/omega1)^3
+    if not _TINY <= r3 < math.inf:
+        raise DomainError("trap_ratio^3 must be a positive normal float")
     rows, boundaries = [], []
-    for eta in np.asarray(eta_grid, dtype=float):
-        p = BudgetParams(eta=float(eta), N1_ini=1e8, N2=1e4, T_ini=300e-6,
-                         omega1_bar=omega1, omega2_bar=trap_ratio * omega1)
-        try:
-            n2a, n2b, n2c = critical_numbers(p)
-            cells = np.asarray(n2_grid, dtype=float)
-        except NoInteriorPeak:
-            n2a = n2b = n2c = math.nan
-            cells = ()
-        boundaries.append({"eta": float(eta),
-                           "n2a_over_n2c": n2a / n2c,
-                           "n2b_over_n2c": n2b / n2c,
-                           "closed_form_ordering": _closed_form_ordering(p)})
-        for ratio in cells:
-            out = _diagram_cell(ratio * n2c, p)
-            if out is None and _diagram_cell(n2c, p) is None:
-                raise DomainError(f"eta = {eta:.6g} is too close to 3: the "
-                                  f"model overflows at N2 = {ratio:.6g} N2_c "
-                                  "and the reference numbers")
-            if out is None:
-                raise DomainError(f"N2 = {ratio:.6g} N2_c is too small at "
-                                  f"eta = {eta:.6g}: the model overflows "
-                                  "there at the reference numbers")
-            rows.append({"eta": float(eta), "n2_over_n2c": float(ratio),
-                         "region": out.region.value, "d1max": out.D1_max,
-                         "d2max": out.D2_max, "dequal": out.D_equal})
+    for eta in map(float, eta_grid):
+        if not 2 < eta < math.inf:
+            raise DomainError(f"eta must be finite and exceed 2, got {eta}")
+        a3 = 3.0 * ((eta - 2.0) / 3.0)
+        ratio_a = ratio_b = math.nan
+        if a3 > 1.0:
+            log_ka = -a3 * math.log1p(r3)
+            log_kb = ((a3 - 1.0) * math.log(a3 - 1.0) - a3 * math.log(a3)
+                      - math.log(r3))
+            ratio_a, ratio_b = (_exp_normal(k / (a3 - 1.0))
+                                for k in (log_ka, log_kb))
+            if None in (ratio_a, ratio_b):
+                raise DomainError(f"eta = {eta:.6g} is too close to 3: N2_a/"
+                                  "N2_c or N2_b/N2_c over- or underflows")
+        ordered = a3 - 1.0 > 1.0 / r3
+        boundaries.append({"eta": eta, "n2a_over_n2c": ratio_a,
+                           "n2b_over_n2c": ratio_b,
+                           "closed_form_ordering": ordered})
+        for r in map(float, n2_grid if a3 > 1.0 else ()):
+            require_positive(n2_over_n2c=r)
+            log_d2 = math.log(BEC_THRESHOLD) + (1.0 - a3) * math.log(r)
+            d2, d1, d_eq = (_exp_normal(log_d2 + k)
+                            for k in (0.0, log_kb, log_ka))
+            if None in (d2, d1, d_eq):
+                raise DomainError(f"eta = {eta:.6g}, N2 = {r:.6g} N2_c: a "
+                                  "phase-space density over- or underflows")
+            rows.append({"eta": eta, "n2_over_n2c": r, "region": _regime(
+                             False, ordered, d1, d2, d_eq).value,
+                         "d1max": d1, "d2max": d2, "dequal": d_eq})
     return {"rows": rows, "boundaries": boundaries}

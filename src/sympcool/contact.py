@@ -196,6 +196,8 @@ def single_species_collision_rate(N: float, T: float, omega_bar: float,
     """
     require_positive(N=N, T=T, omega_bar=omega_bar, mass=mass)
     require_nonnegative(sigma=sigma)
+    if _TWO_PI2_KB * T == 0:
+        raise DomainError(f"T = {T:.6g} K is too cold: k_B T underflows")
     return _self_rate(N, T, omega_bar ** 3, sigma, mass)
 
 

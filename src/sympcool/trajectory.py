@@ -206,6 +206,11 @@ class _Model:
         pref = cfg.psd_prefactor
         hw1, hw2 = HBAR * s.f1.omega_bar, HBAR * s.f2.omega_bar
         threshold = cfg.bec_threshold
+        for name, T, hw in (("T1", s.T1, hw1), ("T2", s.T2, hw2)):
+            try:    # here, not in rhs: K_B T underflows or the cube overflows
+                _psd(1.0, T, hw)
+            except ArithmeticError:
+                raise DomainError(f"{name} = {T:.6g} K is too cold") from None
         self.N2, self.psd_prefactor, self.threshold = N2, pref, threshold
         self.hbar_omega1, self.hbar_omega2 = hw1, hw2
         self.pair = _pair_rates(s)              # (N1, T1, T2) -> rates

@@ -7,6 +7,7 @@ from the closed forms and are pinned at rel 1e-12.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -403,11 +404,24 @@ def test_closed_form_regime_matches_scan(eta, ratio, log_n1, log_f, f1,
     assert classify(p.N2, p).region is _scan_region(p, 65536)
 
 
-def test_phase_diagram_refuses_the_cells_the_scan_refuses():
+def _ratio_forms(eta, r, ratio):
+    """(D1_max, D2_max, D_equal) at N2 = r N2_c in the ratio forms of
+    phase_diagram's docstring, written with plain powers."""
+    a3 = eta - 2.0
+    d2 = BEC_THRESHOLD * r ** (1.0 - a3)
+    kb = ratio ** -3 * (a3 - 1.0) ** (a3 - 1.0) / a3 ** a3
+    ka = (1.0 + ratio ** 3) ** -a3
+    return d2 * kb, d2, d2 * ka
+
+
+def test_phase_diagram_writes_the_cells_the_scan_refuses():
     """Near eta = 3 with a stiff target trap the closed forms hold, and at
-    the diagram's reference numbers N1_ini / N2 overflows in the model
-    curves of the smallest cells: phase_diagram refuses exactly the cells
-    on which the scan overflows and writes the scan's region on the rest."""
+    N1_ini 1e8 and T_ini 300 uK N1_ini / N2 overflows in the model curves
+    of the smallest cells, so the scan overflows there.  phase_diagram
+    takes no such numbers: it writes every cell, with the ratio forms'
+    numbers and, where the scan runs, the scan's region.  Where it does
+    not, D_equal lies far above the threshold, so the buffer condenses
+    first."""
     eta, ratio = 3.03, 4.0
     w1 = 2 * math.pi * 100.0
     p = BudgetParams(eta=eta, N1_ini=1e8, N2=1e4, T_ini=300e-6,
@@ -415,27 +429,74 @@ def test_phase_diagram_refuses_the_cells_the_scan_refuses():
     assert _closed_form_ordering(p)
     n2c = critical_numbers(p)[2]
     cells = np.geomspace(1e-156, 1e-150, 13).tolist() + [1e-100, 1e-40, 0.5]
-    refused = 0
-    for r in cells:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = phase_diagram([eta], cells, trap_ratio=ratio)["rows"]
+    scanned = 0
+    for r, row in zip(cells, rows):
+        d1, d2, d_eq = _ratio_forms(eta, r, ratio)
+        assert row["d1max"] == pytest.approx(d1, rel=1e-12)
+        assert row["d2max"] == pytest.approx(d2, rel=1e-12)
+        assert row["dequal"] == pytest.approx(d_eq, rel=1e-12)
         try:
             with np.errstate(over="raise"):
                 region = _scan_region(replace(p, N2=r * n2c))
         except FloatingPointError:
-            refused += 1
-            # the cell N2 = N2_c of this eta does not overflow, so the
-            # refusal names the cell, not eta
-            with pytest.raises(DomainError, match=rf"^N2 = {r:.6g} N2_c is "
-                               "too small at eta = 3.03"):
-                phase_diagram([eta], [r], trap_ratio=ratio)
-            # where overflow only warns, classify still gives the scan's
-            # region (overflowed grid points read 0, below the threshold)
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert classify(r * n2c, p).region is _scan_region(
-                    replace(p, N2=r * n2c))
+            assert d_eq > 100 * BEC_THRESHOLD
+            assert row["region"] == Region.DUAL_BUFFER_FIRST.value
         else:
-            (row,) = phase_diagram([eta], [r], trap_ratio=ratio)["rows"]
+            scanned += 1
             assert row["region"] == region.value
-    assert 0 < refused < 13
+    assert 3 < scanned < len(cells)
+
+
+_REFERENCE_W1 = 2 * math.pi * 100.0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(eta=st.floats(3.05, 12.0), ratio=st.floats(0.1, 4.0),
+       log_r=st.floats(-3.0, 1.0))
+def test_phase_diagram_equals_classify_at_the_old_reference_numbers(
+        eta, ratio, log_r):
+    """Differential test: phase_diagram's ratio forms against classify at
+    the numbers the diagram used to hide (N1_ini 1e8, T_ini 300 uK,
+    omega1 2 pi 100), on cells where that path neither overflows nor
+    leaves the large-buffer limit (target condensed at the start, buffer
+    peak or crossing past N1_ini), nor puts a number within rounding of
+    the threshold.  Same region, and every number within 1e-12
+    relative."""
+    r = 10.0 ** log_r
+    p = BudgetParams(eta=eta, N1_ini=1e8, N2=1e4, T_ini=300e-6,
+                     omega1_bar=_REFERENCE_W1,
+                     omega2_bar=ratio * _REFERENCE_W1)
+    try:
+        n2a, n2b, n2c = critical_numbers(p)
+    except DomainError:
+        assume(False)
+    n2 = r * n2c
+    assume(n2 < p.N1_ini)
+    q = replace(p, N2=n2)
+    try:
+        with np.errstate(over="raise"):
+            out = classify(n2, p)
+            d2_start = psd_curves(p.N1_ini, q)[1]
+    except (FloatingPointError, OverflowError):
+        assume(False)
+    assume(d2_start < BEC_THRESHOLD)
+    assume(buffer_psd_max(q)[0] < p.N1_ini)
+    assume(n2 * ratio ** 3 <= p.N1_ini)
+    # a number within rounding of the threshold may fall either side
+    assume(all(abs(d / BEC_THRESHOLD - 1.0) > 1e-11
+               for d in (out.D1_max, out.D2_max, out.D_equal)))
+    table = phase_diagram([eta], [r], trap_ratio=ratio)
+    (b,), (row,) = table["boundaries"], table["rows"]
+    assert b["closed_form_ordering"] is out.closed_form_ordering
+    assert b["n2a_over_n2c"] == pytest.approx(n2a / n2c, rel=1e-12)
+    assert b["n2b_over_n2c"] == pytest.approx(n2b / n2c, rel=1e-12)
+    assert row["region"] == out.region.value
+    assert row["d1max"] == pytest.approx(out.D1_max, rel=1e-12)
+    assert row["d2max"] == pytest.approx(out.D2_max, rel=1e-12)
+    assert row["dequal"] == pytest.approx(out.D_equal, rel=1e-12)
 
 
 def test_scan_path_agrees_with_closed_forms():
@@ -539,27 +600,44 @@ def test_critical_numbers_normal_at_eta_3_05():
 
 
 def test_phase_diagram_refuses_cells_whose_densities_overflow():
-    """At eta 8 and ratio 2 the cell N2 = 1e-152 N2_c underflows K_B T_min
-    to 0, so its densities turn infinite with no numpy overflow at the
-    ramp's ends.  The scan of its curves overflows, and phase_diagram
-    refuses the cell instead of writing rows of infinities.  Eta 8 is far
-    from 3 (the cell N2 = N2_c is fine), so the refusal names the cell's
-    N2 / N2_c."""
-    w1 = 2 * math.pi * 100.0
-    p = BudgetParams(eta=8.0, N1_ini=1e8, N2=1e4, T_ini=300e-6,
-                     omega1_bar=w1, omega2_bar=2.0 * w1)
-    cell = replace(p, N2=1e-152 * critical_numbers(p)[2])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
-            _scan_region(cell)
-        with pytest.raises(DomainError, match=r"^N2 = 1e-152 N2_c is too "
-                           "small at eta = 8: the model overflows"):
+    """At eta 8 the cell N2 = 1e-152 N2_c has D2_max = 2.612 r^(1 - 3 alpha)
+    near 1e760, past the floats: phase_diagram refuses the cell, naming
+    eta and the cell, instead of writing rows of infinities, and no numpy
+    RuntimeWarning comes out."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^eta = 8, N2 = 1e-152 N2_c: "
+                           "a phase-space density over- or underflows$"):
             phase_diagram([8.0], [1e-152], trap_ratio=2.0)
 
 
 def test_phase_diagram_refuses_cells_that_overflow():
-    """At eta 3.026 and ratio 0.3, N2_c is a normal float near 1e-300, but
-    N1 / N2 in the model curves of the cells overflows: a DomainError
-    naming eta instead of rows with dequal 0."""
-    with pytest.raises(DomainError, match=r"^eta = 3.026 is too close to 3"):
-        phase_diagram([3.026], [0.05, 1.0], trap_ratio=0.3)
+    """At eta 3.026 and ratio 0.3, N1 / N2 in the model curves overflowed
+    at the old reference numbers; the ratio forms write those cells with
+    their closed-form numbers.  A cell whose D_equal underflows (eta 12,
+    ratio 10, D2_max near 1e-304) is refused naming eta and the cell
+    rather than written with dequal 0."""
+    rows = phase_diagram([3.026], [0.05, 1.0], trap_ratio=0.3)["rows"]
+    for r, row in zip((0.05, 1.0), rows):
+        d1, d2, d_eq = _ratio_forms(3.026, r, 0.3)
+        assert row["d1max"] == pytest.approx(d1, rel=1e-12)
+        assert row["d2max"] == pytest.approx(d2, rel=1e-12)
+        assert row["dequal"] == pytest.approx(d_eq, rel=1e-12)
+        # outside the ordering the buffer decides alone, and D1_max is high
+        assert row["region"] == Region.DUAL_BUFFER_FIRST.value
+    with pytest.raises(DomainError, match=r"^eta = 12, N2 = 6.6e\+33 N2_c"):
+        phase_diagram([12.0], [6.6e33], trap_ratio=10.0)
+
+
+@pytest.mark.parametrize("eta, ratio", [(3.0001, 1.0), (3.001, 0.3),
+                                        (3.002, 4.0)])
+def test_phase_diagram_refuses_boundaries_next_to_three(eta, ratio):
+    """Just above eta = 3 the boundary exponents carry 1 / (3 alpha - 1),
+    and N2_a/N2_c or N2_b/N2_c under- or overflows: a DomainError naming
+    eta, with no numpy RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^eta = {eta} is too close "
+                           "to 3: N2_a/N2_c or N2_b/N2_c over- or "
+                           "underflows$"):
+            phase_diagram([eta], [0.5], trap_ratio=ratio)

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from sympcool import MASS_RB87, constants_table, total_energy
+from sympcool import (MASS_RB87, constants_table, phase_diagram,
+                      total_energy)
 from sympcool.cli import main
 from sympcool.constants import K_B
 from sympcool.errors import SympcoolError
@@ -142,47 +143,72 @@ def test_phase_diagram_rejects_bad_grid(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n2_max", ["8", "10"])
-def test_phase_diagram_rejects_cells_beyond_reference_buffer(tmp_path, capsys,
-                                                             n2_max):
-    """A cell whose N2 reaches the diagram's hidden reference buffer number
-    is a config error naming --n2-max (not the unset key N1_ini), and
-    nothing is written."""
-    out = tmp_path / "out"
-    assert main(["phase-diagram", "--ratio", "1.41", "--n2-max", n2_max,
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("sympcool: config error: --n2-max")
-    assert "N1_ini" not in err
-    assert not out.exists()
+def _diagram_rows(argv, out):
+    """Run phase-diagram with warnings as errors; its rows as written,
+    and the rows phase_diagram gives for the same grid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    manifest = read_json(out / "phase_diagram_manifest.json")
+    grid = manifest["config"]
+    table = phase_diagram(
+        np.linspace(grid["eta_min"], grid["eta_max"], grid["eta_points"]),
+        np.geomspace(grid["n2_min"], grid["n2_max"], grid["n2_points"]),
+        trap_ratio=grid["ratio"])
+    return read_json(out / "phase_diagram.json"), table["rows"]
 
 
-@pytest.mark.parametrize("ratio, eta", [("1", "3.0001"), ("1", "3.01"),
-                                        ("0.3", "3.001")])
+@pytest.mark.parametrize("argv", [
+    ["--ratio", "1.41", "--n2-max", "8"],
+    ["--ratio", "1.41", "--n2-max", "10"],
+    ["--ratio", "1", "--eta-min", "3.01", "--eta-max", "3.01",
+     "--eta-points", "1"]], ids=["n2max_8", "n2max_10", "eta_3.01"])
+def test_phase_diagram_writes_cells_the_reference_numbers_refused(tmp_path,
+                                                                  argv):
+    """Cells whose N2 reached the buffer number the diagram used to hide
+    (--n2-max 8 or 10), and eta 3.01 at ratio 1, where N2_c underflowed at
+    those numbers, are written: finite numbers, phase_diagram's rows, and
+    no numpy RuntimeWarning."""
+    written, rows = _diagram_rows(["phase-diagram", *argv], tmp_path)
+    assert written == rows
+    assert all(math.isfinite(row[k]) and row[k] > 0 for row in written
+               for k in ("d1max", "d2max", "dequal"))
+
+
+@pytest.mark.parametrize("ratio, eta", [("1", "3.0001"), ("0.3", "3.001")])
 def test_phase_diagram_rejects_eta_next_to_three(tmp_path, capsys, ratio,
                                                  eta):
-    """Just above eta = 3 the critical number N2_c at the diagram's
-    reference numbers underflows (or N2_b overflows): a config error
-    naming --eta-min, not a traceback, and nothing is written."""
+    """Just above eta = 3 the boundary N2_a/N2_c or N2_b/N2_c underflows
+    (or overflows): a config error naming eta, not a traceback, and
+    nothing is written."""
     out = tmp_path / "out"
     assert main(["phase-diagram", "--ratio", ratio, "--eta-min", eta,
                  "--eta-max", eta, "--eta-points", "1",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"sympcool: config error: --eta-min {eta}")
+    assert err.startswith(f"sympcool: config error: eta = {eta} is too "
+                          "close to 3")
     assert not out.exists()
 
 
 def test_phase_diagram_rejects_cells_that_overflow(tmp_path, capsys):
-    """At eta 3.026 and ratio 0.3 N2_c is a normal float near 1e-300, but
-    the cells' model curves overflow: a config error naming --eta-min,
-    not rows with dequal 0, and nothing is written."""
+    """At eta 3.026 and ratio 0.3 the cells' model curves overflowed at the
+    old reference numbers; now they are written with finite numbers.  A
+    cell whose D_equal underflows (eta 12, ratio 10) is a config error
+    naming eta and the cell, not a row with dequal 0, and nothing is
+    written."""
+    written, rows = _diagram_rows(
+        ["phase-diagram", "--ratio", "0.3", "--eta-min", "3.026",
+         "--eta-max", "3.026", "--eta-points", "1"], tmp_path / "near3")
+    assert written == rows and len(rows) == 9
+    assert all(0 < row["dequal"] < math.inf for row in written)
     out = tmp_path / "out"
-    assert main(["phase-diagram", "--ratio", "0.3", "--eta-min", "3.026",
-                 "--eta-max", "3.026", "--eta-points", "1",
+    assert main(["phase-diagram", "--ratio", "10", "--eta-min", "12",
+                 "--eta-max", "12", "--eta-points", "1", "--n2-min", "6.6e33",
+                 "--n2-max", "6.6e33", "--n2-points", "1",
                  "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("sympcool: config error: --eta-min 3.026")
+    assert capsys.readouterr().err.startswith(
+        "sympcool: config error: eta = 12, N2 = 6.6e+33 N2_c: ")
     assert not out.exists()
 
 
@@ -199,10 +225,10 @@ def test_column_text_writes_each_cell_as_cell_does(column):
 
 
 def test_phase_diagram_blames_n2_min_for_a_tiny_cell(tmp_path, capfd):
-    """At eta 8 and ratio 2 the cell N2 = 1e-152 N2_c overflows, but the
-    cell N2 = N2_c of that eta does not: the config error names --n2-min,
-    not --eta-min, no numpy RuntimeWarning reaches stderr, and nothing is
-    written."""
+    """At eta 8 and ratio 2 the cell N2 = 1e-152 N2_c, the --n2-min cell,
+    has a D2_max past the floats: the config error names that cell and
+    eta, not eta alone as too close to 3, no numpy RuntimeWarning reaches
+    stderr, and nothing is written."""
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -211,9 +237,8 @@ def test_phase_diagram_blames_n2_min_for_a_tiny_cell(tmp_path, capfd):
                      "1e-152", "--n2-max", "1e-152", "--out", str(out)]) == 2
     assert [str(w.message) for w in caught] == []
     err = capfd.readouterr().err
-    assert err == ("sympcool: config error: --n2-min 1e-152: N2 = 1e-152 "
-                   "N2_c is too small at eta = 8: the model overflows there "
-                   "at the reference numbers\n")
+    assert err == ("sympcool: config error: eta = 8, N2 = 1e-152 N2_c: a "
+                   "phase-space density over- or underflows\n")
     assert not out.exists()
 
 
@@ -855,7 +880,10 @@ def _file_digests(out):
 # recorded before the config schema and the one table writer, except
 # budget_shallow/budget_outcome.json: its eta 2.5 lies in the extrapolation
 # zone, where dequal became the exact closed form (one ulp below the scan's
-# Brent root, 3.1656990015916262e-09)
+# Brent root, 3.1656990015916262e-09); and the phase-diagram tables and
+# boundaries (pd_*), re-recorded when the diagram moved to the closed-form
+# ratios in logs: same regions, numbers within 3.3e-14 relative (CSV) and
+# 2.0e-14 (JSON), boundaries within 6.1e-16
 FROZEN = {
     "trap_56G/constants.json":
         "f735db0aca6fc9b7c058fc01c344e21044871b4ddcc1f8afbb43bb0e0ac27b8b",
@@ -882,29 +910,29 @@ FROZEN = {
     "budget_readme/budget_outcome.json":
         "291347a191ccea1fca39c56b695d1663feea9a87f454294eacd1b8c2f76bc10e",
     "pd_fig3/fig3.csv":
-        "259d42784ab9f8c4b0179ca2de936cc28c0d85bd1820be8779c91014266de145",
+        "12c71ca2b8f4e8000ad17856cd6bf57a60d153f3e439903ee236e55598738c7a",
     "pd_fig3/fig3_boundaries.json":
-        "20bd3d64d59aa2225e1079fc8c913b099ed67080018b9e46f31a2163b383cf5b",
+        "e83e46de177955ca20d5b18e3f88d4f00439347fe1a242bffc310e377c331edd",
     "pd_fig3/fig3_manifest.json":
         "cba9b0013ac3fa1587a84ff34072706aff4e40c2710cc8d9c77258689f64c00c",
     "pd_readme/fig3.csv":
-        "259d42784ab9f8c4b0179ca2de936cc28c0d85bd1820be8779c91014266de145",
+        "12c71ca2b8f4e8000ad17856cd6bf57a60d153f3e439903ee236e55598738c7a",
     "pd_readme/fig3.gp":
         "9adb759031177f05c2a2a001e39edd596bd0e02c9670b6a2ab8f4d1e9eddb6dc",
     "pd_readme/fig3_boundaries.json":
-        "20bd3d64d59aa2225e1079fc8c913b099ed67080018b9e46f31a2163b383cf5b",
+        "e83e46de177955ca20d5b18e3f88d4f00439347fe1a242bffc310e377c331edd",
     "pd_readme/fig3_manifest.json":
         "f9edeced30ee8fbfd7c9b9fc80a573199143a10331020811267fc8692a27540e",
     "pd_json/phase_diagram.json":
-        "b67fb00d3028f3d1fb8000f07e326e8adcc8e42350b080fd689b8e2a5ed57a0f",
+        "17593bcc87b4904fd06ecb567246da5c444c987d80de2069c75875cf0f62baa3",
     "pd_json/phase_diagram_boundaries.json":
-        "fb5b43e1761cecdc94225ce8667671f6d43c643837b71101ae3ed242c597b631",
+        "cf8c3f7651a5606ad85cbcbe58c78a794d25371c2d8785112abead7d7ff10e26",
     "pd_json/phase_diagram_manifest.json":
         "0e883fd74a9f6d7967cfbd75bf813e6adb0008c968784a1d64ae9a001e4f3903",
     "pd_json_path/grid.json":
-        "b67fb00d3028f3d1fb8000f07e326e8adcc8e42350b080fd689b8e2a5ed57a0f",
+        "17593bcc87b4904fd06ecb567246da5c444c987d80de2069c75875cf0f62baa3",
     "pd_json_path/grid_boundaries.json":
-        "fb5b43e1761cecdc94225ce8667671f6d43c643837b71101ae3ed242c597b631",
+        "cf8c3f7651a5606ad85cbcbe58c78a794d25371c2d8785112abead7d7ff10e26",
     "pd_json_path/grid_manifest.json":
         "63467900662e3a1d60f7cafd7d0b464737e4922f3c44536f3eca13baa800e5af",
     "contact_sweep/contact_manifest.json":
@@ -1004,10 +1032,11 @@ FROZEN = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 def test_frozen_cli_digests(tmp_path, recording_math):
     """Every data file and manifest of the covered configs is byte-identical
     to the one recorded before the config parsing and table writing were
-    rewritten."""
+    rewritten, with every warning raised as an error."""
     found = {}
     (tmp_path / "cfg").mkdir()
     for name, argv, out_file in _frozen_cases(tmp_path / "cfg"):

@@ -287,6 +287,15 @@ def test_pair_widths_that_underflow_are_a_domain_error(axes, T):
             rate(s)
 
 
+@pytest.mark.parametrize("T", [1e-320, 1e-303])
+def test_self_rate_of_a_subnormal_temperature_is_a_domain_error(T):
+    """2 pi^2 k_B T underflows to 0 for T below about 2e-302 K, which
+    raised a bare ZeroDivisionError; now a DomainError naming T."""
+    with pytest.raises(DomainError, match="^T = .* K is too cold"):
+        single_species_collision_rate(1e4, T, F0.omega_bar, 1e-15,
+                                      MASS_RB87)
+
+
 def test_rate_function_validation():
     with pytest.raises(DomainError):
         single_species_collision_rate(0.0, 1e-6, F0.omega_bar, 1e-15,

@@ -792,6 +792,29 @@ def test_start_outside_the_domain_raises_domain_error():
         simulate_with_audit(cfg)
 
 
+@pytest.mark.parametrize("mode, evaporation, T1, T2", [
+    ("finite", RateDriven(), 1e-320, 1e-6),
+    ("finite", RateDriven(), 1e-6, 1e-320),
+    ("finite", RampDriven(times=(0.0, 1.0), numbers=(1e6, 5e5)), 1e-320,
+     1e-6),
+    ("instant", RateDriven(), 1e-320, 1e-320),
+    ("finite", RateDriven(), 1e-150, 1e-6)],
+    ids=["T1_rate", "T2_rate", "T1_ramp", "instant", "cube_overflows"])
+def test_start_too_cold_for_its_trap_raises_domain_error(mode, evaporation,
+                                                         T1, T2):
+    """A subnormal temperature such as 1e-320 K underflows K_B T to 0, and
+    at 1e-150 K the density's cube overflows: the buffer rate, the
+    crossings and the sample points raised a bare ZeroDivisionError or
+    OverflowError.  The start is checked once, so the run ends in a
+    DomainError naming the temperature."""
+    cfg = TrajectoryConfig(initial=_state(N1=1e6, T1=T1, T2=T2), eta=6.5,
+                           evaporation_model=evaporation,
+                           contact_mode=mode, t_end=1.0)
+    name = "T1" if T1 < 1e-100 else "T2"
+    with pytest.raises(DomainError, match=rf"^{name} = .* K is too cold$"):
+        simulate_with_audit(cfg)
+
+
 def test_coarse_leg_runs_both_dense_branches(monkeypatch):
     """The coarse leg has steps holding no sample, one sample and two or
     more, so its case of test_rk45_loop_matches_solve_ivp runs both
