@@ -33,9 +33,9 @@ plain-float path for float or int inputs (np.float64 included): Python
 float arithmetic rounds as numpy's 0-d arrays do, ** through libm pow in
 both, so the results equal the numpy path bit for bit.  Arrays keep
 numpy, whose SIMD array power differs from libm in the last bit on some
-inputs.  A scalar out of the domain, or whose result overflows, also
-goes through numpy, which raises or warns as before (np.errstate
-included).
+inputs.  Inside the domain of errors (eta up to 20 included) no closed
+form overflows; only eta next to 3 puts the critical numbers, whose
+exponents carry 1 / (3 alpha - 1), out of the floats.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
-from .errors import (DomainError, NoInteriorPeak, require_finite,
-                     require_positive)
+from .errors import (ANGULAR_FREQUENCY, ATOMS, ETA, FREQUENCY_RATIO,
+                     PREFACTOR, TEMPERATURE, DomainError, NoInteriorPeak,
+                     require_in, require_positive)
 
 _TINY = np.finfo(float).tiny    # smallest positive normal float
 _SCALAR = (float, int)          # the inputs that take the plain-float path
@@ -73,7 +74,8 @@ class Region(enum.Enum):
 class BudgetParams:
     """Inputs of the closed-form cooling model (strict SI).
 
-    eta > 2 so that evaporation cools at all; N1_ini > N2 > 0.
+    Each field lies in its range of errors (eta in (2, 20]: above 2 so
+    that evaporation cools at all), and N1_ini > N2.
     psd_prefactor rescales the classical peak phase-space density onto the
     near-degenerate value and cancels from every regime-boundary ratio.
     """
@@ -87,13 +89,12 @@ class BudgetParams:
     psd_prefactor: float = PSD_PREFACTOR
 
     def __post_init__(self):
-        require_finite(eta=self.eta)
-        require_positive(N1_ini=self.N1_ini, N2=self.N2, T_ini=self.T_ini,
-                         omega1_bar=self.omega1_bar,
-                         omega2_bar=self.omega2_bar,
-                         psd_prefactor=self.psd_prefactor)
-        if self.eta <= 2:
-            raise DomainError("eta must exceed 2 (alpha > 0)")
+        require_in(ETA, eta=self.eta)
+        require_in(ATOMS, N1_ini=self.N1_ini, N2=self.N2)
+        require_in(TEMPERATURE, T_ini=self.T_ini)
+        require_in(ANGULAR_FREQUENCY, omega1_bar=self.omega1_bar,
+                   omega2_bar=self.omega2_bar)
+        require_in(PREFACTOR, psd_prefactor=self.psd_prefactor)
         if not self.N1_ini > self.N2:
             raise DomainError("need N1_ini > N2")
 
@@ -153,12 +154,7 @@ def temperature_of(N1, p: BudgetParams):
     because the closed form drops N2 against N1_ini.
     """
     if isinstance(N1, _SCALAR) and 0 <= N1 <= p.N1_ini * (1 + 1e-12):
-        try:
-            T = p.T_min * (float(N1) / p.N2 + 1.0) ** p.alpha
-        except OverflowError:
-            T = math.inf
-        if T < math.inf:
-            return T
+        return p.T_min * (float(N1) / p.N2 + 1.0) ** p.alpha
     N1 = np.asarray(N1, dtype=float)
     # written so that NaN fails the check
     if not ((N1 >= 0).all() and (N1 <= p.N1_ini * (1 + 1e-12)).all()):
@@ -172,31 +168,28 @@ def phase_space_density(N, T, omega_bar):
 
     Identical to n0 * lambda_dB^3 for a Boltzmann cloud in a harmonic trap
     of geometric-mean frequency omega_bar.  No quantum calibration applied.
+    N lies in [0, ATOMS.high] (a ramp runs the buffer down to 0), T in
+    TEMPERATURE.
     """
-    require_positive(omega_bar=omega_bar)
-    if isinstance(N, _SCALAR) and isinstance(T, _SCALAR) and N >= 0 and T > 0:
-        try:
-            D = _psd(float(N), float(T), HBAR * omega_bar)
-        except ArithmeticError:     # ** overflows, or K_B T underflows to 0
-            D = math.inf
-        if D < math.inf:
-            return D
-    N = np.asarray(N, dtype=float)
-    T = np.asarray(T, dtype=float)
+    require_in(ANGULAR_FREQUENCY, omega_bar=omega_bar)
+    scalar = isinstance(N, _SCALAR) and isinstance(T, _SCALAR)
+    N, T = (float(N), float(T)) if scalar else (np.asarray(N, dtype=float),
+                                                np.asarray(T, dtype=float))
     # written so that NaN fails the checks
-    if not (N >= 0).all():
-        raise DomainError("N must be >= 0")
-    if not (T > 0).all():
-        raise DomainError("T must be positive")
-    D = N * (HBAR * omega_bar / (K_B * T)) ** 3
-    return float(D) if D.ndim == 0 else D
+    if not np.all((0 <= N) & (N <= ATOMS.high)):
+        raise DomainError(f"N must be >= 0, at most {ATOMS.high:g}")
+    if not np.all((TEMPERATURE.low <= T) & (T <= TEMPERATURE.high)):
+        raise DomainError(f"T must be positive, in {TEMPERATURE.text}")
+    D = _psd(N, T, HBAR * omega_bar)
+    return D if scalar or D.ndim else float(D)
 
 
-def _psd(N: float, T: float, hbar_omega: float) -> float:
-    """Peak phase-space density of one float N and T, given HBAR * omega_bar;
-    unchecked, so the caller owns N >= 0, T > 0 and omega_bar > 0.
+def _psd(N, T, hbar_omega: float):
+    """Peak phase-space density of N and T, floats or arrays, given
+    HBAR * omega_bar; unchecked, so the caller owns N >= 0, T > 0 and
+    omega_bar > 0.
 
-    The float path of phase_space_density, and the trajectory's
+    phase_space_density's and psd_curves' formula, and the trajectory's
     per-sample densities.  float ** 3 goes through libm pow, as numpy's
     power on 0-d arrays and np.float64 does, so the bits equal numpy's on
     scalars; its SIMD power on arrays differs in the last bit on some
@@ -210,9 +203,9 @@ def psd_curves(N1, p: BudgetParams):
     """Model phase-space densities (D1, D2) of both species at buffer
     number N1, with the calibration prefactor applied to both curves."""
     T = temperature_of(N1, p)
-    d1 = p.psd_prefactor * phase_space_density(N1, T, p.omega1_bar)
-    d2 = p.psd_prefactor * phase_space_density(p.N2, T, p.omega2_bar)
-    return d1, d2
+    N1 = float(N1) if isinstance(T, float) else np.asarray(N1, dtype=float)
+    return (p.psd_prefactor * _psd(N1, T, HBAR * p.omega1_bar),
+            p.psd_prefactor * _psd(p.N2, T, HBAR * p.omega2_bar))
 
 
 def target_psd_max(p: BudgetParams) -> float:
@@ -222,7 +215,7 @@ def target_psd_max(p: BudgetParams) -> float:
     omega2_bar / (k_B T_ini))^3, i.e. the model D2 curve evaluated at
     T_min.  Scales as N2^(1 - 3 alpha).
     """
-    return p.psd_prefactor * phase_space_density(p.N2, p.T_min, p.omega2_bar)
+    return p.psd_prefactor * _psd(p.N2, p.T_min, HBAR * p.omega2_bar)
 
 
 def buffer_psd_max(p: BudgetParams) -> tuple[float, float]:
@@ -338,7 +331,6 @@ def classify(N2: float, p: BudgetParams) -> CoolingOutcome:
     else:
         n1_peak, d1_max = n1_top, d1_top
         r = p.omega2_bar / p.omega1_bar
-        # r * r * r runs to inf where r ** 3 would raise OverflowError
         d_eq = equal_psd(p) if p.N2 * r * r * r <= p.N1_ini else math.nan
     at_start = d2_start >= BEC_THRESHOLD
     region = _regime(at_start, ordered, d1_top if at_start else d1_max,
@@ -369,17 +361,15 @@ def phase_diagram(eta_grid, n2_grid, trap_ratio: float) -> dict:
         K_a = (1 + (omega2/omega1)^3)^(-a3),  N2_a/N2_c = K_a^(1/(a3 - 1)),
         K_b = (omega1/omega2)^3 (a3 - 1)^(a3 - 1) / a3^a3,  N2_b/N2_c alike.
 
-    A number that is not a positive normal float raises DomainError naming
-    eta (a boundary: eta too close to 3), or eta and r (a cell).
+    eta lies in ETA and trap_ratio in FREQUENCY_RATIO.  A number that is
+    not a positive normal float raises DomainError naming eta (a boundary:
+    eta too close to 3), or eta and r (a cell).
     """
-    require_positive(trap_ratio=trap_ratio)
+    require_in(FREQUENCY_RATIO, trap_ratio=trap_ratio)
     r3 = trap_ratio * trap_ratio * trap_ratio   # (omega2/omega1)^3
-    if not _TINY <= r3 < math.inf:
-        raise DomainError("trap_ratio^3 must be a positive normal float")
     rows, boundaries = [], []
     for eta in map(float, eta_grid):
-        if not 2 < eta < math.inf:
-            raise DomainError(f"eta must be finite and exceed 2, got {eta}")
+        require_in(ETA, eta=eta)
         a3 = 3.0 * ((eta - 2.0) / 3.0)
         ratio_a = ratio_b = math.nan
         if a3 > 1.0:

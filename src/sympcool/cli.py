@@ -11,9 +11,11 @@ timings vary.
 Configs use unit-suffixed keys (B0_gauss, T_ini_uK, delta_um, dt_s, ...).
 A schema of `_Key` rows gives each section's keys, kinds, units and
 defaults; the library constructor that takes a value owns its domain
-(finite, positive, eta > 2, ...), and its DomainError is reported naming
-the key its message names, at that key's line.  The CLI's one own rule:
-a dsmc T_uK must be positive, as the summary's rates divide by it.
+(finite, positive, inside the quantity's physical range stated in
+errors), and its DomainError is reported naming the key its message
+names, at that key's line; trap reports the frequencies it derives out
+of range at G_kG_per_cm's line.  The CLI's one own rule: a dsmc T_uK
+must be positive, as the summary's rates divide by it.
 Exit codes: 0 success, 2 config error, 1 runtime failure.
 """
 
@@ -44,7 +46,7 @@ from .dsmc import (DsmcConfig, fit_relaxation, sample_equilibrium,
                    total_energy)
 from .dsmc import run as dsmc_run
 from .errors import (ConfigError, DomainError, InsufficientDecay,
-                     NoInteriorPeak, RadialUnconfined, SympcoolError)
+                     NoInteriorPeak, SympcoolError)
 from .physics import SpeciesState, TrapConfig, TrapFrequencies, \
     trap_frequencies
 from .trajectory import (RampDriven, RateDriven, TrajectoryConfig,
@@ -338,8 +340,9 @@ def _cmd_trap(args, cfg: dict, raw: str) -> dict:
     try:
         f1 = trap_frequencies(buffer, trap)
         f2 = trap_frequencies(target, trap)
-    except RadialUnconfined as exc:
-        raise ConfigError(f"config: {exc}",
+    except DomainError as exc:      # open radially, or a frequency refused
+        raise ConfigError(f"config: {exc} (from B0_gauss, G_kG_per_cm and "
+                          "C_gauss_per_cm2)",
                           line=_line(raw, "config", "G_kG_per_cm"))
     return {"trap_frequencies.json": {
                 "buffer": _trap_block(f1), "target": _trap_block(f2),
@@ -380,17 +383,15 @@ _GRID_FLAGS = ("eta_min", "eta_max", "eta_points", "n2_min", "n2_max",
 def _cmd_phase_diagram(args, cfg: dict, raw: str) -> dict:
     if args.eta_points < 1 or args.n2_points < 1:
         raise ConfigError("grid point counts must be >= 1")
-    if not 2 < args.eta_min <= args.eta_max < math.inf:
-        raise ConfigError("need 2 < eta-min <= eta-max, both finite")
+    if not args.eta_min <= args.eta_max < math.inf:
+        raise ConfigError("need eta-min <= eta-max, both finite")
     if not 0 < args.n2_min <= args.n2_max < math.inf:
         raise ConfigError("need 0 < n2-min <= n2-max, both finite")
-    if not 0 < args.ratio < math.inf:
-        raise ConfigError("ratio must be positive and finite")
     eta_grid = np.linspace(args.eta_min, args.eta_max, args.eta_points)
     n2_grid = np.geomspace(args.n2_min, args.n2_max, args.n2_points)
     try:
         table = phase_diagram(eta_grid, n2_grid, trap_ratio=args.ratio)
-    except DomainError as exc:      # names eta, or eta and the cell
+    except DomainError as exc:  # names eta, trap_ratio, or eta and the cell
         raise ConfigError(str(exc))
     header = ["eta", "n2_over_n2c", "region", "d1max", "d2max", "dequal"]
     rows = [[r[k] for k in header] for r in table["rows"]]

@@ -25,17 +25,15 @@ it reproduces the same formula with M replaced by the equivalent mass
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .constants import K_B
-from .errors import (DomainError, require_finite, require_nonnegative,
-                     require_positive)
+from .errors import (ANGULAR_FREQUENCY, ATOMS, CROSS_SECTION, LENGTH, MASS,
+                     TEMPERATURE, DomainError, require_in)
 from .physics import TrapFrequencies
 
 _PI2 = math.pi ** 2
 _TWO_PI2_KB = 2.0 * math.pi ** 2 * K_B
-_TINY = sys.float_info.min      # smallest positive normal float
 _WIDTHS_UNDERFLOW = ("the pair widths underflow to 0: the clouds are too "
                     "cold for their traps")
 
@@ -45,9 +43,7 @@ class TwoGasState:
     """Instantaneous two-species state (strict SI).
 
     delta is the vertical distance between the cloud centres; the factory
-    from_traps fills it from the trap sags.  Each trap term M_i omega_ia^2
-    of the pair density must be a positive normal float: one that under-
-    or overflows would divide by zero in the pair widths.
+    from_traps fills it from the trap sags.
     """
 
     N1: float
@@ -62,18 +58,11 @@ class TwoGasState:
     delta: float           # m
 
     def __post_init__(self):
-        require_positive(N1=self.N1, N2=self.N2, T1=self.T1, T2=self.T2,
-                         M1=self.M1, M2=self.M2)
-        require_nonnegative(sigma12=self.sigma12)
-        require_finite(delta=self.delta)
-        for i, M, f in ((1, self.M1, self.f1), (2, self.M2, self.f2)):
-            try:
-                terms = _trap_terms(M, f)
-            except OverflowError:   # omega ** 2 leaves the floats
-                terms = (math.inf,)
-            if not all(_TINY <= k < math.inf for k in terms):
-                raise DomainError(f"f{i}: the trap term M{i} omega^2 of an "
-                                  "axis is not a positive normal float")
+        require_in(ATOMS, N1=self.N1, N2=self.N2)
+        require_in(TEMPERATURE, T1=self.T1, T2=self.T2)
+        require_in(MASS, M1=self.M1, M2=self.M2)
+        require_in(CROSS_SECTION, sigma12=self.sigma12)
+        require_in(LENGTH, delta=self.delta)
 
     @classmethod
     def from_traps(cls, N1, N2, T1, T2, f1: TrapFrequencies,
@@ -94,8 +83,8 @@ def _pair_rates(s: TwoGasState):
 
     rho_a^2 = k_B T1/(M1 w1a^2) + k_B T2/(M2 w2a^2), the overlap factor is
     exp(-delta^2 / (2 rho_z^2)), and Gamma is the cross-collision rate of
-    the module docstring.  Widths that underflow to 0 (clouds far colder
-    than their traps are stiff) are a DomainError.
+    the module docstring.  Widths that underflow to 0 (a run's clouds far
+    colder than their traps are stiff) are a DomainError.
     """
     N2, M1, M2, sigma12 = s.N2, s.M1, s.M2, s.sigma12
     delta2 = s.delta ** 2
@@ -157,6 +146,7 @@ def energy_exchange_rate(s: TwoGasState) -> float:
 def transfer_efficiency(M1: float, M2: float) -> float:
     """Fraction xi = 4 M1 M2 / (M1 + M2)^2 of k_B (T2 - T1) moved per
     cross collision; equals 1 for equal masses."""
+    require_in(MASS, M1=M1, M2=M2)
     return 4.0 * M1 * M2 / (M1 + M2) ** 2
 
 
@@ -167,7 +157,7 @@ def equivalent_mass(M1: float, M2: float) -> float:
     the single-trap relaxation formula captures the slowdown of
     interspecies thermalization for mismatched masses.
     """
-    require_positive(M1=M1, M2=M2)
+    require_in(MASS, M1=M1, M2=M2)
     return 8.0 * (M1 * M2) ** 2 / (M1 + M2) ** 3
 
 
@@ -194,10 +184,11 @@ def single_species_collision_rate(N: float, T: float, omega_bar: float,
     Equals n_bar sigma v_rel_bar with n_bar the density-weighted mean
     density and v_rel_bar the mean relative speed.
     """
-    require_positive(N=N, T=T, omega_bar=omega_bar, mass=mass)
-    require_nonnegative(sigma=sigma)
-    if _TWO_PI2_KB * T == 0:
-        raise DomainError(f"T = {T:.6g} K is too cold: k_B T underflows")
+    require_in(ATOMS, N=N)
+    require_in(TEMPERATURE, T=T)
+    require_in(ANGULAR_FREQUENCY, omega_bar=omega_bar)
+    require_in(CROSS_SECTION, sigma=sigma)
+    require_in(MASS, mass=mass)
     return _self_rate(N, T, omega_bar ** 3, sigma, mass)
 
 

@@ -45,8 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import K_B
-from .errors import (CellUnderflowWarning, DomainError, InsufficientDecay,
-                     require_integer, require_nonnegative, require_positive)
+from .errors import (CELL_SIZE, DURATION, TEMPERATURE, CellUnderflowWarning,
+                     DomainError, InsufficientDecay, require_in,
+                     require_integer, require_positive)
 from .physics import SpeciesState, TrapFrequencies
 
 
@@ -98,8 +99,8 @@ class DsmcConfig:
         if len(self.ensembles) not in (1, 2) \
                 or len(self.traps) != len(self.ensembles):
             raise DomainError("need 1 or 2 ensembles with matching traps")
-        require_positive(dt=self.dt, t_end=self.t_end,
-                         cell_size=self.cell_size)
+        require_in(DURATION, dt=self.dt, t_end=self.t_end)
+        require_in(CELL_SIZE, cell_size=self.cell_size)
         # ensembles are mutable: checked again, as they are now
         if not all(np.isfinite(e.positions).all()
                    and np.isfinite(e.velocities).all()
@@ -191,10 +192,12 @@ def sample_equilibrium(species: SpeciesState, n: int, T: float,
 
     Positions are Gaussian per axis with rms sqrt(k_B T / M) / omega,
     centred on the sagged equilibrium (0, 0, -sag); velocities are
-    Maxwell-Boltzmann.  T = 0 collapses everything onto the centre.
+    Maxwell-Boltzmann.  T = 0 collapses everything onto the centre; any
+    other T lies in TEMPERATURE.
     """
     require_integer(2, n=n)
-    require_nonnegative(T=T)
+    if T != 0:
+        require_in(TEMPERATURE, T=T)
     m = species.mass
     v_th = math.sqrt(K_B * T / m)
     omegas = np.array([trap.omega_x, trap.omega_y, trap.omega_z])

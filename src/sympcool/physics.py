@@ -19,12 +19,12 @@ derives the sag and the geometric mean omega_bar itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .constants import G_STANDARD, MU_B
-from .errors import (AntiTrapped, DomainError, RadialUnconfined,
-                     require_finite, require_nonnegative, require_positive)
+from .errors import (ANGULAR_FREQUENCY, CROSS_SECTION, GRAVITY, MASS,
+                     AntiTrapped, RadialUnconfined, require_in,
+                     require_positive)
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ class SpeciesState:
     sigma_cross: float     # m^2, elastic cross section against the partner
 
     def __post_init__(self):
-        require_positive(mass=self.mass)
-        require_nonnegative(sigma_self=self.sigma_self,
-                            sigma_cross=self.sigma_cross)
+        require_in(MASS, mass=self.mass)
+        require_in(CROSS_SECTION, sigma_self=self.sigma_self,
+                   sigma_cross=self.sigma_cross)
         if self.trap_sign <= 0:
             raise AntiTrapped(
                 f"{self.label}: (F={self.F}, mF={self.mF}) is not low-field "
@@ -70,7 +70,7 @@ class TrapConfig:
 
     def __post_init__(self):
         require_positive(B0=self.B0, G=self.G, C=self.C)
-        require_finite(gravity=self.gravity)
+        require_in(GRAVITY, gravity=self.gravity)
 
 
 @dataclass(frozen=True)
@@ -90,20 +90,12 @@ class TrapFrequencies:
     sag: float = field(init=False)
 
     def __post_init__(self):
-        require_positive(omega_x=self.omega_x, omega_y=self.omega_y,
-                         omega_z=self.omega_z)
-        require_finite(gravity=self.gravity)
-        try:
-            sag = self.gravity / self.omega_z ** 2
-        except (OverflowError, ZeroDivisionError):
-            sag = math.inf
-        if not math.isfinite(sag):
-            raise DomainError(f"omega_z = {self.omega_z:.3g} rad/s puts the "
-                              "sag gravity / omega_z^2 out of range")
-        omega_bar = (self.omega_x * self.omega_y * self.omega_z) ** (1.0 / 3.0)
-        require_finite(omega_bar=omega_bar)
-        object.__setattr__(self, "omega_bar", omega_bar)
-        object.__setattr__(self, "sag", sag)
+        require_in(ANGULAR_FREQUENCY, omega_x=self.omega_x,
+                   omega_y=self.omega_y, omega_z=self.omega_z)
+        require_in(GRAVITY, gravity=self.gravity)
+        object.__setattr__(self, "omega_bar", (
+            self.omega_x * self.omega_y * self.omega_z) ** (1.0 / 3.0))
+        object.__setattr__(self, "sag", self.gravity / self.omega_z ** 2)
 
     @classmethod
     def from_axes(cls, omega_x, omega_y, omega_z, gravity=G_STANDARD):
@@ -115,13 +107,14 @@ def trap_frequencies(species: SpeciesState, trap: TrapConfig) -> TrapFrequencies
     """Frequencies and sag of one Zeeman component in a Ioffe-Pritchard trap.
 
     Raises RadialUnconfined when G^2/B0 <= C (the radial curvature of |B|
-    closes the trap only above that line); AntiTrapped states are already
-    rejected at SpeciesState construction.
+    closes the trap only above that line), and TrapFrequencies' DomainError
+    for an axis outside the frequency domain; AntiTrapped states are
+    already rejected at SpeciesState construction.
     """
-    radial_curv = trap.G ** 2 / trap.B0 - trap.C   # T/m^2
+    radial_curv = trap.G * trap.G / trap.B0 - trap.C   # T/m^2
     if radial_curv <= 0:
         raise RadialUnconfined(
-            f"G^2/B0 = {trap.G ** 2 / trap.B0:.3g} T/m^2 does not exceed "
+            f"G^2/B0 = {trap.G * trap.G / trap.B0:.3g} T/m^2 does not exceed "
             f"C = {trap.C:.3g} T/m^2"
         )
     scale = species.trap_sign * MU_B / (2.0 * species.mass)

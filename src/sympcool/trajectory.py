@@ -52,8 +52,8 @@ from .budget import BudgetParams, Region, _psd, _region, temperature_of
 from .constants import BEC_THRESHOLD, HBAR, K_B, PSD_PREFACTOR
 from .contact import (TwoGasState, _PI2, _TWO_PI2_KB, _WIDTHS_UNDERFLOW,
                       _pair_rates, _trap_terms, transfer_efficiency)
-from .errors import (DomainError, StepFailure, require_finite,
-                     require_positive)
+from .errors import (CROSS_SECTION, DURATION, ETA, PREFACTOR, DomainError,
+                     StepFailure, require_in, require_positive)
 
 N1_FLOOR = 1.0          # atoms; the ramp terminates cleanly at this floor
 STALL_OVERLAP = 0.01    # overlap factor below which cooling counts as stalled
@@ -72,9 +72,9 @@ class RateDriven:
     sigma_self: float | None = None
 
     def __post_init__(self):
-        require_positive(prefactor=self.prefactor)
+        require_in(PREFACTOR, prefactor=self.prefactor)
         if self.sigma_self is not None:
-            require_positive(sigma_self=self.sigma_self)
+            require_in(CROSS_SECTION, sigma_self=self.sigma_self)
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,10 @@ class TrajectoryConfig:
     stop_at_threshold: bool = False       # keep integrating past a BEC flag
 
     def __post_init__(self):
-        require_finite(eta=self.eta)
-        require_positive(t_end=self.t_end, dt_max=self.dt_max,
-                         bec_threshold=self.bec_threshold,
-                         psd_prefactor=self.psd_prefactor)
-        if self.eta <= 2:
-            raise DomainError("eta must exceed 2")
+        require_in(ETA, eta=self.eta)
+        require_in(DURATION, t_end=self.t_end, dt_max=self.dt_max)
+        require_positive(bec_threshold=self.bec_threshold)
+        require_in(PREFACTOR, psd_prefactor=self.psd_prefactor)
         if self.contact_mode not in ("finite", "instant"):
             raise DomainError("contact_mode must be 'finite' or 'instant'")
         if self.contact_mode == "instant" and self.initial.T1 != self.initial.T2:
@@ -206,11 +204,6 @@ class _Model:
         pref = cfg.psd_prefactor
         hw1, hw2 = HBAR * s.f1.omega_bar, HBAR * s.f2.omega_bar
         threshold = cfg.bec_threshold
-        for name, T, hw in (("T1", s.T1, hw1), ("T2", s.T2, hw2)):
-            try:    # here, not in rhs: K_B T underflows or the cube overflows
-                _psd(1.0, T, hw)
-            except ArithmeticError:
-                raise DomainError(f"{name} = {T:.6g} K is too cold") from None
         self.N2, self.psd_prefactor, self.threshold = N2, pref, threshold
         self.hbar_omega1, self.hbar_omega2 = hw1, hw2
         self.pair = _pair_rates(s)              # (N1, T1, T2) -> rates
@@ -417,13 +410,12 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
     to the floor) gives a NaN derivative, so its step is rejected and
     retried shorter, and the terminal floor event then stops the run.  A
     step that would fall below ten float spacings of t raises
-    StepFailure, and a start outside the domain the DomainError of rhs:
-    a NaN first derivative leaves no first step to shorten.
+    StepFailure.  The start lies inside the domain of errors, which the
+    config's constructors check, so its derivative is finite.
     """
     from scipy.integrate import RK45
     from scipy.optimize import brentq
 
-    rhs(0.0, y0)                # a start outside the domain raises here
     nan_row = (math.nan,) * len(y0)
 
     def f(t, y):

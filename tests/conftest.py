@@ -5,6 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every property test draws the same examples on every run, so a failure
+# in tier-1 reproduces; a test's own @settings keeps its max_examples
+settings.register_profile("sympcool", deadline=None, derandomize=True)
+settings.load_profile("sympcool")
 
 # sha256 of libm and numpy results (exp, log, pow, cos, sin) on the machine
 # that recorded the frozen digests; other last-bit results elsewhere change

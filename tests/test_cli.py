@@ -259,6 +259,25 @@ def test_budget_rejects_eta_next_to_three(tmp_path, capsys, eta, omega2):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("changes, key", [
+    ({"eta": 3.45, "omega2_bar_rad_per_s": 5.26e277}, "omega2_bar_rad_per_s"),
+    ({"eta": 18.2, "N1_ini": 4.84e37, "omega2_bar_rad_per_s": 1.92e-295},
+     "N1_ini")], ids=["omega2_overflows", "three_out_of_range"])
+def test_budget_refuses_values_outside_the_domain(tmp_path, capsys, changes,
+                                                  key):
+    """These configs ended in an OverflowError traceback in equal_psd and
+    classify, or a math domain error in critical_numbers; the values lie
+    outside their domains, so exit 2 at the first such key's line."""
+    path = tmp_path / "b.json"
+    cfg = write_config(path, {**README_BUDGET, **changes})
+    out = tmp_path / "out"
+    assert main(["budget", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"(line {_line_of(path, key)}): key '{key}'" in err
+    assert "must lie in" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- contact
 
 def contact_state(tmp_path):
@@ -1202,9 +1221,9 @@ def test_trap_radially_unconfined_names_the_gradient(tmp_path, capsys):
 
 @pytest.mark.parametrize("omega_z", [1e200, 1e-170])
 def test_contact_extreme_omega_z_is_config_error(tmp_path, capsys, omega_z):
-    """omega_z ** 2 overflows (1e200) or underflows to 0 (1e-170), so the
-    sag g / omega_z^2 has no finite value: exit 2 at the key's line, not a
-    traceback."""
+    """omega_z ** 2 overflows (1e200) or underflows to 0 (1e-170), where
+    the sag g / omega_z^2 had no finite value; both lie outside the
+    frequency domain: exit 2 at the key's line, not a traceback."""
     keys = ("trap1", "omega_z_rad_per_s")
     obj = _with(contact_state(tmp_path)[1], keys, omega_z)
     cfg = write_config(tmp_path / "extreme.json", obj)
@@ -1224,8 +1243,8 @@ _TINY_AXES = {"omega_x_rad_per_s": 1e-150, "omega_y_rad_per_s": 1e-150,
 @pytest.mark.parametrize("cmd", ["contact", "traj"])
 def test_tiny_trap_axes_are_config_error(tmp_path, capsys, cmd, trap):
     """M omega^2 of these axes underflows to 0, which divided by zero in
-    the pair widths (a ZeroDivisionError traceback); now exit 2 at the
-    trap's line."""
+    the pair widths (a ZeroDivisionError traceback); they lie outside the
+    frequency domain, so exit 2 at the first axis' line."""
     if cmd == "contact":
         keys, obj = (trap,), contact_state(tmp_path)[1]
     else:
@@ -1235,17 +1254,18 @@ def test_tiny_trap_axes_are_config_error(tmp_path, capsys, cmd, trap):
     out = tmp_path / "out"
     assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"config error (line {_written_line(obj, keys)})" in err
-    assert f"key '{trap}'" in err and "positive normal float" in err
+    line = _written_line(obj, (*keys, "omega_x_rad_per_s"))
+    assert f"config error (line {line})" in err
+    assert "key 'omega_x_rad_per_s'" in err and "must lie in" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["contact", "traj"])
-def test_cold_clouds_in_stiff_traps_are_runtime_error(tmp_path, capsys, cmd):
-    """omega_x 1e150 in both traps is accepted (M omega^2 is a normal
-    float), but at 1e-30 uK k_B T / (M omega_x^2) underflows, rho_x is 0
-    and the collision rate divided by zero: a ZeroDivisionError traceback.
-    Now exit 1 with one error line, for a finite trajectory too."""
+def test_cold_clouds_in_stiff_traps_are_config_error(tmp_path, capsys, cmd):
+    """omega_x 1e150 in both traps and 1e-30 uK: k_B T / (M omega_x^2)
+    underflowed, rho_x was 0 and the collision rate divided by zero (a
+    ZeroDivisionError traceback, later exit 1).  Both values lie outside
+    the domain: exit 2 at trap1's omega_x."""
     trap = {"omega_x_rad_per_s": 1e150, "omega_y_rad_per_s": 628.3,
             "omega_z_rad_per_s": 628.3, "gravity_m_per_s2": 0.0}
     if cmd == "contact":
@@ -1258,10 +1278,11 @@ def test_cold_clouds_in_stiff_traps_are_runtime_error(tmp_path, capsys, cmd):
         obj = _with(obj, (*keys, key), value)
     cfg = write_config(tmp_path / "cold.json", obj)
     out = tmp_path / "out"
-    assert main([cmd, "--config", cfg, "--out", str(out)]) == 1
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == ("sympcool: error: the pair widths underflow to 0: the "
-                   "clouds are too cold for their traps\n")
+    line = _written_line(obj, (*keys, "trap1", "omega_x_rad_per_s"))
+    assert f"config error (line {line})" in err
+    assert "key 'omega_x_rad_per_s'" in err
     assert not out.exists()
 
 
@@ -1381,9 +1402,10 @@ def test_fuzzed_configs_fail_on_a_line_or_write_strict_json(data):
 # ---------------------------------------- bad values: exit code and line
 
 # each number of a _FUZZ_RUNS config, array items included, is replaced by
-# each of these; no tiny or huge positive value, which can ask for an
-# astronomic number of steps (dt_s = 1e-300)
-_BAD_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -1.0]
+# each of these; the magnitudes lie outside the domain of every quantity
+# that has one (a dt_s of 1e-300 would ask for an astronomic number of
+# steps)
+_BAD_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -1.0, 1e-300, 1e300]
 # recorded before the constructors took over the finiteness and sign
 # checks from the CLI schema: the cases that run (exit 0), as
 # "run path value" ...
@@ -1404,18 +1426,34 @@ _RUNS_FINE = {
     "dsmc seed 0",
     *(f"{run} initial.{trap}.gravity_m_per_s2 {v}"
       for run in ("traj", "traj_ramp") for trap in ("trap1", "trap2")
-      for v in ("0", "0.0", "-1.0"))}
+      for v in ("0", "0.0", "-1.0", "1e-300")),
+    # a rate-driven ramp without self collisions does not evaporate
+    "traj evaporation.sigma_self_m2 0", "traj evaporation.sigma_self_m2 0.0",
+    # ... and the magnitudes inside a domain, or of a key without one
+    "contact sigma12_m2 1e-300", "contact delta_um 1e-300",
+    "dsmc species[0].sigma_self_m2 1e-300",
+    "dsmc species[1].sigma_self_m2 1e-300",
+    "traj initial.sigma12_m2 1e-300", "traj evaporation.sigma_self_m2 1e-300",
+    "traj_ramp initial.sigma12_m2 1e-300", "traj_ramp initial.delta_um 1e-300",
+    "traj_ramp evaporation.times_s[1] 1e-300",
+    "traj_ramp evaporation.times_s[1] 1e+300",
+    "traj_ramp evaporation.numbers[1] 1e-300"}
 # ... and the cases that exit 2 at a line other than the value's (an
 # array item's line is its array's): the line of this key or section
 _ANCHORED_ELSEWHERE = {
     # (F, mF) is not low-field seeking: F is named first
     "trap buffer.mF 0": "buffer.F", "trap target.mF 0": "target.F",
     # the ramp does not start at the initial buffer number
-    "traj_ramp evaporation.numbers[0] 0": "initial",
-    "traj_ramp evaporation.numbers[0] 0.0": "initial",
+    **{f"traj_ramp evaporation.numbers[0] {v}": "initial"
+       for v in ("0", "0.0", "1e-300", "1e+300")},
     # two species that disagree on their cross section
     **{f"dsmc species[{i}].sigma_cross_m2 {v}": "species"
-       for i in (0, 1) for v in ("0", "0.0")}}
+       for i in (0, 1) for v in ("0", "0.0", "1e-300")},
+    # the curvatures put a trap frequency out of its domain, or leave the
+    # trap radially open: the radial gradient's line
+    **{f"trap {key} {v}": "G_kG_per_cm"
+       for key in ("B0_gauss", "C_gauss_per_cm2")
+       for v in ("1e-300", "1e+300")}}
 
 
 def _keys(path: str) -> tuple:
@@ -1455,11 +1493,11 @@ def _written_line(obj, keys: tuple) -> int:
 
 @pytest.mark.parametrize("run", sorted(_FUZZ_RUNS))
 def test_bad_values_keep_their_exit_code_and_line(tmp_path, run):
-    """NaN, +-inf, 0, 0.0 or -1.0 in place of any number of a config gives
-    the exit code and line recorded before the constructors became the
-    only owners of finiteness and sign: exit 2 at the value's line (an
-    array item's: its array's) with the key named in the message, unless
-    the case is listed above."""
+    """NaN, +-inf, 0, 0.0, -1.0, 1e-300 or 1e300 in place of any number
+    of a config gives exit 2 at the value's line (an array item's: its
+    array's) with the key named in the message, unless the case is listed
+    above; the first six as recorded before the constructors became the
+    only owners of finiteness and sign."""
     cmd, base, extra = _FUZZ_RUNS[run]
     cfg = tmp_path / "c.json"
     found, want = {}, {}
