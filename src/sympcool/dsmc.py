@@ -82,7 +82,8 @@ class ParticleEnsemble:
 class DsmcConfig:
     """One or two ensembles, their traps, and the numerical knobs.
 
-    dt must resolve the fastest trap period (dt < 0.05 * 2 pi / max omega)
+    dt must resolve the fastest trap period (dt < 0.05 * 2 pi / max omega),
+    t_end must hold at least one step (run takes round(t_end / dt) steps)
     and cell_size must resolve the density profile (<= min rms size / 4,
     checked against each ensemble's measured kinetic temperature).
     """
@@ -100,6 +101,9 @@ class DsmcConfig:
                 or len(self.traps) != len(self.ensembles):
             raise DomainError("need 1 or 2 ensembles with matching traps")
         require_in(DURATION, dt=self.dt, t_end=self.t_end)
+        if round(self.t_end / self.dt) < 1:
+            raise DomainError(f"t_end = {self.t_end:.3g} s rounds to no "
+                              f"step of dt = {self.dt:.3g} s")
         require_in(CELL_SIZE, cell_size=self.cell_size)
         # ensembles are mutable: checked again, as they are now
         if not all(np.isfinite(e.positions).all()
@@ -548,7 +552,7 @@ def run(cfg: DsmcConfig) -> DsmcResult:
         if step % cfg.record_every == 0 or step == n_steps:
             record(step)
 
-    lone_fraction = lone_sum / max(n_steps, 1)
+    lone_fraction = lone_sum / n_steps
     if lone_fraction > 0.5:
         warnings.warn(
             f"{100 * lone_fraction:.0f}% of test particles sat alone in "

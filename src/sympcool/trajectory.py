@@ -21,7 +21,8 @@ removing atoms.
 Only the integration uses scipy, imported where it runs: the RK45 set-up
 (first step and Dormand-Prince tableau) and brentq for event roots.  The
 steps are taken here in scipy's operations and order, so every float
-equals solve_ivp's.  Each step runs on a list of plain floats; numpy does
+equals solve_ivp's.  Each step runs on plain floats, written out per
+component for 4 (finite mode) or 1 (instant rate schedule); numpy does
 per step only the seven products with the stage matrix (five stage
 arguments, the solution and error rows), the error norm's dot and the
 interpolant coefficients, whose summation order the bits depend on.
@@ -136,8 +137,12 @@ class TrajectoryConfig:
         require_in(PREFACTOR, psd_prefactor=self.psd_prefactor)
         if self.contact_mode not in ("finite", "instant"):
             raise DomainError("contact_mode must be 'finite' or 'instant'")
-        if self.contact_mode == "instant" and self.initial.T1 != self.initial.T2:
+        s = self.initial
+        if self.contact_mode == "instant" and s.T1 != s.T2:
             raise DomainError("instant contact requires T1 == T2 initially")
+        if self.contact_mode == "instant" and not s.N2 < s.N1:
+            # the budget's closed forms, which instant contact follows
+            raise DomainError("instant contact needs initial.N2 < initial.N1")
         if isinstance(self.evaporation_model, RampDriven):
             start = self.evaporation_model.numbers[0]
             if not math.isclose(start, self.initial.N1, rel_tol=1e-9):
@@ -398,14 +403,17 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
     tableau; the steps are taken here in the operations and order of its
     RungeKutta._step_impl and rk_step, and the events follow solve_ivp's
     rules, so every float equals solve_ivp's with dense output.  The
-    state is a list of floats, and rhs and the crossings are called with
-    it; numpy keeps only the products with the stage matrix K (the five
-    stage arguments, the B and E rows and K^T P for the interpolant) and
-    the error norm's dot, whose summation order the bits depend on.  The
-    elementwise rest (y + dot * h, the error scale and quotient) rounds
-    on floats as on arrays.  An event fires when its function reaches
-    zero within a step in its direction, its root is brentq on that
-    step's interpolant, and a terminal root ends the run there.  A trial
+    state is a sequence of floats, and rhs and the crossings are called
+    with it; numpy keeps only the products with the stage matrix K (the
+    five stage arguments, the B and E rows and K^T P for the interpolant)
+    and the error norm's dot, whose summation order the bits depend on.
+    The elementwise rest (y + dot * h, the error scale and quotient)
+    rounds on floats as on arrays, written out per component for a state
+    of 4 floats or 1 (a comprehension costs a call per product); the
+    solution y + h * (K^T B) is the last stage, y + (K^T B) * h, the same
+    float product.  An event fires when its function reaches zero within
+    a step in its direction, its root is brentq on that step's
+    interpolant, and a terminal root ends the run there.  A trial
     stage outside the model's domain (T1 below zero as a ramp drives N1
     to the floor) gives a NaN derivative, so its step is rejected and
     retried shorter, and the terminal floor event then stops the run.  A
@@ -431,8 +439,12 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
                   max_step=cfg.dt_max)
     A, B, C, E, P, K = (solver.A, solver.B, solver.C, solver.E, solver.P,
                         solver.K)
-    stages = [(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, len(C))]
-    KT, KT_b, n_stages = K.T, K[:-1].T, len(C)
+    KT, n_stages = K.T, len(C)
+    # K[s] = f(t + c h, y + h K[:s]^T a) for each stage; the last, with
+    # the B row, is the solution y_new and its derivative K[-1]
+    stages = [(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, n_stages)]
+    stages.append((n_stages, K[:-1].T, B, 1.0))
+    four = len(y0) == 4     # finite mode; else an instant rate schedule's N1
     rtol, atol, max_step = solver.rtol, float(solver.atol), solver.max_step
     exponent, root_n = solver.error_exponent, len(y0) ** 0.5
     t, y, fy, h_abs, nfev = (0.0, solver.y.tolist(), solver.f,
@@ -449,6 +461,10 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
         rejected = False
+        if four:
+            u0, u1, u2, u3 = y
+        else:
+            u0, = y
         while True:
             if h_abs < min_step:
                 raise StepFailure(solver.TOO_SMALL_STEP)
@@ -457,17 +473,31 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
             h_abs = abs(h)
             K[0] = fy
             for s, K_s, a, c in stages:
-                K[s] = f(t + c * h, [yi + di * h for yi, di in
-                                     zip(y, K_s.dot(a).tolist())])
-            y_new = [yi + h * di for yi, di in zip(y, KT_b.dot(B).tolist())]
-            K[-1] = fy_new = f(t + h, y_new)
+                if four:
+                    d0, d1, d2, d3 = K_s.dot(a).tolist()
+                    z = (u0 + d0 * h, u1 + d1 * h, u2 + d2 * h, u3 + d3 * h)
+                else:
+                    d0, = K_s.dot(a).tolist()
+                    z = (u0 + d0 * h,)
+                K[s] = fz = f(t + c * h, z)
             nfev += n_stages
             # scale atol + np.maximum(|y|, |y_new|) * rtol: the conditional
             # keeps a NaN of y_new, which is NaN wherever y is, so a NaN
             # spreads as through np.maximum
-            x = np.array([e * h / (atol + (a if a >= b else b) * rtol)
-                          for e, a, b in zip(KT.dot(E).tolist(),
-                                             map(abs, y), map(abs, y_new))])
+            if four:
+                e0, e1, e2, e3 = KT.dot(E).tolist()
+                a0, a1, a2, a3 = abs(u0), abs(u1), abs(u2), abs(u3)
+                b0, b1, b2, b3 = map(abs, z)
+                x = np.array((
+                    e0 * h / (atol + (a0 if a0 >= b0 else b0) * rtol),
+                    e1 * h / (atol + (a1 if a1 >= b1 else b1) * rtol),
+                    e2 * h / (atol + (a2 if a2 >= b2 else b2) * rtol),
+                    e3 * h / (atol + (a3 if a3 >= b3 else b3) * rtol)))
+            else:
+                e0, = KT.dot(E).tolist()
+                a0, b0 = abs(u0), abs(z[0])
+                x = np.array((
+                    e0 * h / (atol + (a0 if a0 >= b0 else b0) * rtol),))
             error_norm = math.sqrt(x.dot(x)) / root_n
             if error_norm < 1:
                 factor = (10 if error_norm == 0
@@ -476,7 +506,7 @@ def _integrate(rhs, y0, cfg: TrajectoryConfig, crossings=()) -> _Run:
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** exponent)
             rejected = True
-        t_old, y_old, t, y, fy = t, y, t_new, y_new, fy_new
+        t_old, y_old, t, y, fy = t, y, t_new, z, fz
         status = 0 if t >= t_end else None
         Q = KT.dot(P)
         g_new = [ev(t, y) for ev in events]

@@ -454,6 +454,28 @@ def test_traj_rejects_unknown_evaporation(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("evaporation", [
+    {"model": "rate", "prefactor": 5.0, "sigma_self_m2": 2e-15},
+    {"model": "ramp", "times_s": [0.0, 10.0], "numbers": [1e4, 0.0]}],
+    ids=["rate", "ramp"])
+def test_traj_instant_n2_not_below_n1_is_config_error(tmp_path, capsys,
+                                                      evaporation):
+    """Instant contact with N2 above N1 exited 1 with "need N1_ini > N2",
+    naming no key and no line: now exit 2 at the line of `initial`, the
+    message naming N1 and N2, and nothing written."""
+    obj = traj_config(tmp_path, evaporation=evaporation)[1]
+    obj = _with(_with(obj, ("initial", "N1"), 1e4), ("initial", "N2"), 2e4)
+    cfg = write_config(tmp_path / "traj.json", obj)
+    out = tmp_path / "out"
+    assert main(["traj", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"sympcool: config error (line {_written_line(obj, ('initial',))})"
+        ": key 'initial' in config: ")
+    assert "initial.N2 < initial.N1" in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- dsmc
 
 def dsmc_config(tmp_path, two_species=True, n=400):
@@ -537,6 +559,23 @@ def test_dsmc_rejects_mismatched_cross_sections(tmp_path, capsys):
     line = next(i for i, text in enumerate(raw, 1) if '"species"' in text)
     assert err.startswith(f"sympcool: config error (line {line}): ")
     assert "species" in err and "sigma_cross" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("two_species", [False, True], ids=["one", "two"])
+def test_dsmc_t_end_below_half_a_step_is_config_error(tmp_path, capsys,
+                                                      two_species):
+    """t_end_s 1e-4 with dt_s 3.2e-4 rounds to no step: the summary's
+    measured rates divided by the zero final time, a ZeroDivisionError
+    traceback.  Now exit 2 at t_end_s's line, and nothing written."""
+    _, obj = dsmc_config(tmp_path, two_species=two_species)
+    path = tmp_path / "short.json"
+    cfg = write_config(path, {**obj, "t_end_s": 1e-4})
+    out = tmp_path / "out"
+    assert main(["dsmc", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"(line {_line_of(path, 't_end_s')}): key 't_end_s'" in err
+    assert "rounds to no step" in err
     assert not out.exists()
 
 

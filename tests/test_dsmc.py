@@ -587,6 +587,22 @@ def test_config_validation():
         DsmcConfig(ensembles=(e1, heavy), traps=(F0, F0), **ok)
 
 
+@ignore_underflow
+@pytest.mark.parametrize("t_end", [1e-4, 1.6e-4])
+def test_config_refuses_a_t_end_that_rounds_to_no_step(t_end):
+    """run takes round(t_end / dt) steps: a t_end of at most half a dt
+    took none, and a summary's measured rates divided by the zero final
+    time (a ZeroDivisionError).  Such a t_end is refused, naming it; the
+    next float above half a step takes one."""
+    ens = sample_equilibrium(_species(), 100, 1e-6, F0, _rng(41))
+    ok = dict(ensembles=(ens,), traps=(F0,), dt=3.2e-4, cell_size=2.4e-6,
+              rng_seed=1)
+    with pytest.raises(DomainError, match="^t_end = .* rounds to no step"):
+        DsmcConfig(**ok, t_end=t_end)
+    result = run(DsmcConfig(**ok, t_end=math.nextafter(1.6e-4, 1.0)))
+    assert result.times.tolist() == [0.0, 3.2e-4]
+
+
 @pytest.mark.parametrize("value", [math.nan, 2.5, 3.0, True, np.bool_(True),
                                    "5", None])
 def test_config_requires_integer_record_every(value):

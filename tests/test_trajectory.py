@@ -4,6 +4,7 @@ import hashlib
 import math
 import pickle
 from dataclasses import FrozenInstanceError, astuple, fields, replace
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -81,6 +82,23 @@ def test_config_validation():
     bad = RampDriven(times=(0.0, 1.0), numbers=(2 * s.N1, 0.0))
     with pytest.raises(DomainError):
         TrajectoryConfig(initial=s, eta=6.5, evaporation_model=bad)
+
+
+@pytest.mark.parametrize("N2", [2e4, 1e4], ids=["above", "equal"])
+@pytest.mark.parametrize("evaporation", [
+    RateDriven(prefactor=5.0),
+    RampDriven(times=(0.0, 10.0), numbers=(1e4, 0.0))], ids=["rate", "ramp"])
+def test_instant_contact_needs_n2_below_n1(evaporation, N2):
+    """Instant contact follows the budget's closed forms, which need
+    N1_ini > N2: the config is refused when it is made, naming both
+    numbers, where simulate_with_audit raised "need N1_ini > N2"."""
+    s = _state(N1=1e4, N2=N2, T1=10e-6, T2=10e-6)
+    with pytest.raises(DomainError, match=r"^instant contact needs "
+                       r"initial\.N2 < initial\.N1$"):
+        TrajectoryConfig(initial=s, eta=6.5, evaporation_model=evaporation,
+                         contact_mode="instant", t_end=10.0)
+    TrajectoryConfig(initial=s, eta=6.5, evaporation_model=evaporation,
+                     t_end=10.0)
 
 
 def test_ramp_validation_and_interpolation():
@@ -743,6 +761,44 @@ def test_rk45_loop_matches_solve_ivp_on_random_configs(masses, axes, delta,
     ref = _solve_ivp_reference(model.rhs, y0, cfg, crossings)
     assert run.status == ref.status
     assert run.nfev == ref.nfev
+    assert np.array_equal(run.t, ref.t)
+    assert [list(te) for te in ref.t_events] == run.t_events
+    ts = _sample_grid(cfg, float(ref.t[-1]))
+    assert np.array_equal(run.sol(ts), ref.sol(ts))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n1=st.floats(3.0, 8.0).map(lambda e: 10 ** e),
+       n2_share=st.floats(1e-4, 0.9),
+       temperature=st.floats(0.1e-6, 100e-6), eta=st.floats(3.0, 8.0),
+       prefactor=st.floats(-0.3, 3.0).map(lambda e: 10 ** e),
+       t_end=st.floats(0.5, 10.0), dt_max=st.floats(0.02, 0.5),
+       stop=st.booleans())
+def test_rk45_loop_matches_solve_ivp_on_random_instant_rate_configs(
+        n1, n2_share, temperature, eta, prefactor, t_end, dt_max, stop):
+    """Instant-mode, rate-driven configs over the numbers, the common
+    temperature, eta, the evaporation prefactor, t_end and dt_max: the
+    RK45 loop on its one-float state gives bit for bit what solve_ivp
+    gives, in step times, nfev, the floor root, status and the dense
+    solution on the sample grid."""
+    s = _state(N1=n1, N2=max(n1 * n2_share, 1.0), T1=temperature,
+               T2=temperature)
+    cfg = TrajectoryConfig(initial=s, eta=eta,
+                           evaporation_model=RateDriven(prefactor=prefactor),
+                           contact_mode="instant", t_end=t_end,
+                           dt_max=dt_max, stop_at_threshold=stop)
+    calls, integrate = [], trajectory._integrate
+
+    def spy(rhs, y0, cfg, crossings=()):
+        calls.append((rhs, y0, integrate(rhs, y0, cfg, crossings)))
+        return calls[-1][2]
+    with mock.patch.object(trajectory, "_integrate", spy):
+        audit = simulate_with_audit(cfg)[1]
+    (rhs, y0, run), = calls
+    assert len(y0) == 1
+    ref = _solve_ivp_reference(rhs, y0, cfg, ())
+    assert run.status == ref.status == audit["status"]
+    assert run.nfev == ref.nfev == audit["nfev"]
     assert np.array_equal(run.t, ref.t)
     assert [list(te) for te in ref.t_events] == run.t_events
     ts = _sample_grid(cfg, float(ref.t[-1]))
